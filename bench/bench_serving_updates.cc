@@ -67,7 +67,7 @@ double Median(std::vector<double> xs) {
 }
 
 // A single-fact numerator update of projected fact `index`, denominator
-// preserved (the patchable shape — see core/pqe.h PqeBindLayout).
+// preserved (the patchable shape — see core/gadget_bind.h PqeBindLayout).
 std::vector<Probability> SingleFactUpdate(const std::vector<Probability>& probs,
                                           size_t index) {
   PQE_CHECK(index < probs.size());

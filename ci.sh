@@ -12,6 +12,7 @@
 #   ./ci.sh faultsim   # deterministic fault-injection sweep under TSan
 #   ./ci.sh perf_smoke # counting hot-path + serving perf smokes
 #   ./ci.sh bench_gate # perf-regression gate vs committed BENCH_*.json
+#   ./ci.sh perfbench  # short traced run of every benchmark workload
 
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -256,6 +257,22 @@ bench_gate() {
     --fresh build/bench_gate_rpq.json ${adv}
 }
 
+perfbench() {
+  # Run each workload of the repository benchmark (BENCHMARK.json) briefly,
+  # through perfbench/run.py. pqe_perfbench builds from this checkout and
+  # calls the public layer functions (Bind*, Rebind, Count*, PreparedQuery)
+  # directly, so a change to those headers that breaks it fails here rather
+  # than when the benchmark runs. The traced run also checks the layer-call
+  # answers bit for bit against the engine and the service; any non-zero
+  # exit (build failure or failed check) fails.
+  local workload
+  for workload in tree_cold path_cold serve_updates; do
+    echo "==== perfbench: ${workload} ===="
+    CARGO_TARGET_DIR=build-perfbench python3 perfbench/run.py \
+      --workload "${workload}" --seed 1 --seconds 2 --trace 1
+  done
+}
+
 if [[ $# -eq 0 ]]; then
   tier1
   notrace
@@ -265,6 +282,7 @@ if [[ $# -eq 0 ]]; then
   faultsim
   perf_smoke
   bench_gate
+  perfbench
 else
   for target in "$@"; do
     "${target}"

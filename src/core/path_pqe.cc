@@ -1,7 +1,6 @@
 #include "core/path_pqe.h"
 
-#include <algorithm>
-#include <cmath>
+#include <utility>
 #include <vector>
 
 #include "automata/augmented_nfta.h"  // literal encoding helpers
@@ -10,7 +9,6 @@
 #include "counting/count_nfa.h"
 #include "counting/exact.h"
 #include "obs/trace.h"
-#include "util/check.h"
 
 namespace pqe {
 
@@ -151,70 +149,33 @@ Result<BoundPathNfa> BindPathPqeNfa(const PathPqeSkeleton& skeleton,
                                     const std::vector<Probability>& probs) {
   PQE_TRACE_SPAN_VAR(span, "path.bind");
   span.AttrUint("facts", probs.size());
+  const Nfa& base = skeleton.base.nfa;
+  std::vector<SymbolId> literals;
+  literals.reserve(base.NumTransitions());
+  for (const Nfa::Transition& t : base.transitions()) {
+    literals.push_back(t.symbol);
+  }
+  PQE_ASSIGN_OR_RETURN(GadgetBindPlan plan,
+                       PlanGadgetBind(probs, literals, "BindPathPqeNfa"));
+  MultiplierNfa mult = MultiplierNfa::FromSkeleton(base);
+  for (uint32_t s = 0; s < base.NumTransitions(); ++s) {
+    const Nfa::Transition& t = base.transitions()[s];
+    PQE_RETURN_IF_ERROR(mult.AddTransition(t.from, t.symbol,
+                                           plan.layout->Multiplier(s, probs),
+                                           t.to, plan.layout->Width(s)));
+  }
   BoundPathNfa out;
-  // Width = GadgetDepth(d_i): covers every multiplier 0..d_i, so the
-  // automaton's shape depends only on denominators — the precondition for
-  // RebindPathPqeNfa's in-place patching (see BindPqeAutomaton).
-  auto layout = std::make_shared<PathBindLayout>();
-  out.denominator = BigUint(1);
-  std::vector<uint64_t> width(probs.size(), 0);
-  layout->fact_den.resize(probs.size());
-  for (FactId f = 0; f < probs.size(); ++f) {
-    const Probability p = probs[f];
-    if (p.den < 1 || p.num > p.den) {
-      return Status::InvalidArgument(
-          "BindPathPqeNfa: fact probability not a rational in [0, 1]");
-    }
-    width[f] = MultiplierNfa::GadgetDepth(std::max<uint64_t>(p.den, 1));
-    layout->fact_den[f] = p.den;
-    out.denominator = out.denominator.MulU64(p.den);
-  }
-  out.word_length = skeleton.base.word_length;
-  for (FactId f = 0; f < probs.size(); ++f) {
-    out.word_length += static_cast<size_t>(width[f]);
-  }
-
-  MultiplierNfa mult = MultiplierNfa::FromSkeleton(skeleton.base.nfa);
-  for (const Nfa::Transition& t : skeleton.base.nfa.transitions()) {
-    const FactId f = LiteralBase(t.symbol);
-    if (f >= probs.size()) {
-      return Status::InvalidArgument(
-          "BindPathPqeNfa: probability vector does not cover the skeleton's "
-          "projected facts");
-    }
-    const Probability p = probs[f];
-    const bool negative = IsNegativeLiteral(t.symbol);
-    const uint64_t multiplier = negative ? (p.den - p.num) : p.num;
-    // Multiplier-0 branches stay as slots (routed to the stable sink) so a
-    // later delta can resurrect them by patching.
-    layout->slot_negative.push_back(negative ? 1 : 0);
-    layout->slot_fact.push_back(f);
-    PQE_RETURN_IF_ERROR(mult.AddTransition(t.from, t.symbol, multiplier,
-                                           t.to, width[f]));
-  }
-  // fact → slot CSR (counting sort, stable in slot order).
-  layout->fact_offsets.assign(probs.size() + 1, 0);
-  for (FactId f : layout->slot_fact) ++layout->fact_offsets[f + 1];
-  for (size_t f = 0; f < probs.size(); ++f) {
-    layout->fact_offsets[f + 1] += layout->fact_offsets[f];
-  }
-  layout->fact_slots.resize(layout->slot_fact.size());
-  {
-    std::vector<uint32_t> cursor(layout->fact_offsets.begin(),
-                                 layout->fact_offsets.end() - 1);
-    for (uint32_t s = 0; s < layout->slot_fact.size(); ++s) {
-      layout->fact_slots[cursor[layout->slot_fact[s]]++] = s;
-    }
-  }
+  out.word_length = skeleton.base.word_length + plan.gadget_symbols;
+  out.denominator = std::move(plan.denominator);
   {
     PQE_TRACE_SPAN_VAR(mult_span, "pqe.multiplier_translate");
-    PQE_ASSIGN_OR_RETURN(out.nfa, mult.ToNfaStable(&layout->stable));
+    PQE_ASSIGN_OR_RETURN(out.nfa, mult.ToNfaStable(&plan.layout->stable));
     // No Trim: the stable layout's sink rules keep the shape
     // value-independent; counting liveness pruning discards them.
     mult_span.AttrUint("nfa_states", out.nfa.NumStates());
     mult_span.AttrUint("nfa_transitions", out.nfa.NumTransitions());
   }
-  out.layout = std::move(layout);
+  out.layout = std::move(plan.layout);
   return out;
 }
 
@@ -224,50 +185,14 @@ Result<BoundPathNfa> RebindPathPqeNfa(const BoundPathNfa& prior,
                                       size_t* patched_slots) {
   PQE_TRACE_SPAN_VAR(span, "path.delta_rebind");
   if (patched_slots != nullptr) *patched_slots = 0;
-  if (prior.layout == nullptr) {
-    return Status::InvalidArgument(
-        "RebindPathPqeNfa: prior bind carries no layout");
-  }
-  const PathBindLayout& layout = *prior.layout;
-  if (old_probs.size() != layout.fact_den.size() ||
-      new_probs.size() != layout.fact_den.size()) {
-    return Status::InvalidArgument(
-        "RebindPathPqeNfa: probability vector size mismatch");
-  }
-  for (FactId f = 0; f < new_probs.size(); ++f) {
-    const Probability op = old_probs[f];
-    const Probability np = new_probs[f];
-    if (np.num == op.num && np.den == op.den) continue;
-    if (np.den != layout.fact_den[f]) {
-      return Status::InvalidArgument(
-          "RebindPathPqeNfa: fact denominator changed — gadget widths "
-          "differ, full rebind required");
-    }
-    if (np.num > np.den) {
-      return Status::InvalidArgument(
-          "RebindPathPqeNfa: fact probability not a rational in [0, 1]");
-    }
-  }
   BoundPathNfa out;
-  // Deep copy; the out-CSR stays warm, patching only invalidates the in-CSR.
-  out.nfa = prior.nfa;
+  PQE_ASSIGN_OR_RETURN(
+      const size_t patched,
+      PatchGadgetDelta(prior.layout.get(), old_probs, new_probs,
+                       "RebindPathPqeNfa", prior.nfa, &out.nfa));
   out.word_length = prior.word_length;
   out.denominator = prior.denominator;  // dens unchanged ⇒ d unchanged
   out.layout = prior.layout;
-  size_t patched = 0;
-  for (FactId f = 0; f < new_probs.size(); ++f) {
-    const Probability op = old_probs[f];
-    const Probability np = new_probs[f];
-    if (np.num == op.num && np.den == op.den) continue;
-    for (uint32_t i = layout.fact_offsets[f]; i < layout.fact_offsets[f + 1];
-         ++i) {
-      const uint32_t slot = layout.fact_slots[i];
-      const uint64_t multiplier =
-          layout.slot_negative[slot] ? (np.den - np.num) : np.num;
-      PatchStableNfaSlot(&out.nfa, layout.stable, slot, multiplier);
-      ++patched;
-    }
-  }
   if (patched_slots != nullptr) *patched_slots = patched;
   span.AttrUint("patched_slots", patched);
   return out;
@@ -288,9 +213,8 @@ Result<PathPqeResult> EstimatePathSkeleton(const PathPqeSkeleton& skeleton,
                        CountNfaStrings(m.nfa, m.word_length, config));
   out.stats = count.stats;
   out.string_count = count.value;
-  const double log2_d = ExtFloat::FromBigUint(m.denominator).Log2();
-  out.log2_probability = count.value.Log2() - log2_d;
-  out.probability = std::min(std::exp2(out.log2_probability), 1.0);
+  out.log2_probability = Log2Probability(count.value, m.denominator);
+  out.probability = ClampProbability(out.log2_probability);
   return out;
 }
 

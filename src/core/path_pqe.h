@@ -5,8 +5,8 @@
 #include <memory>
 #include <vector>
 
-#include "automata/multiplier_nfa.h"
 #include "automata/nfa.h"
+#include "core/gadget_bind.h"
 #include "counting/config.h"
 #include "cq/query.h"
 #include "pdb/database.h"
@@ -105,31 +105,17 @@ Result<PathPqeResult> EstimatePathSkeleton(const PathPqeSkeleton& skeleton,
 Result<BigRational> ExactPathSkeleton(const PathPqeSkeleton& skeleton,
                                       const ProbabilisticDatabase& pdb);
 
-/// Provenance of a stable path bind — the string analogue of PqeBindLayout
-/// (core/pqe.h). Immutable after the bind; shared with delta-rebound clones.
-struct PathBindLayout {
-  StableNfaLayout stable;
-  /// fact -> slot-index CSR over StableNfaLayout::slots.
-  std::vector<uint32_t> fact_offsets;  // probs.size() + 1 entries
-  std::vector<uint32_t> fact_slots;
-  /// Per slot: 1 for the fact's negative literal (multiplier d_i − w_i).
-  std::vector<uint8_t> slot_negative;
-  /// Per slot: the projected fact whose probability it encodes.
-  std::vector<FactId> slot_fact;
-  /// Per fact: the denominator its slot widths were sized for.
-  std::vector<uint64_t> fact_den;
-};
-
 /// The weighted path automaton M' of the Theorem 1 string specialization,
-/// plus the common denominator d and stratum length k. Value-stable slotted
-/// layout, untrimmed (dead branches route into the layout's sink; counting
-/// liveness pruning discards them).
+/// plus the common denominator d and stratum length k; bound through the
+/// same gadget layer as the tree route (core/gadget_bind.h). Value-stable
+/// slotted layout, untrimmed (dead branches route into the layout's sink;
+/// counting liveness pruning discards them).
 struct BoundPathNfa {
   Nfa nfa;
   size_t word_length = 0;  // k = |D'| + Σ width_i
   BigUint denominator;     // d = Π d_i over projected facts
   /// Fact → gadget-slot provenance enabling RebindPathPqeNfa.
-  std::shared_ptr<const PathBindLayout> layout;
+  std::shared_ptr<const PqeBindLayout> layout;
 };
 
 /// Attaches string multiplier gadgets for `probs` (one Probability per

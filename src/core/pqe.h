@@ -5,8 +5,8 @@
 #include <memory>
 #include <vector>
 
-#include "automata/multiplier_nfta.h"
 #include "automata/nfta.h"
+#include "core/gadget_bind.h"
 #include "core/ur_construction.h"
 #include "counting/config.h"
 #include "cq/query.h"
@@ -36,30 +36,11 @@ Result<PqeSkeleton> BuildPqeSkeleton(const ConjunctiveQuery& query,
                                      const Database& db,
                                      const UrConstructionOptions& options);
 
-/// Provenance of a stable probability bind: where each projected fact's
-/// gadget slots live in the translated automaton, and the per-fact
-/// denominators the slot widths were sized for. Immutable after the bind;
-/// shared between a bind and every delta-rebound clone of it.
-struct PqeBindLayout {
-  StableNftaLayout stable;
-  /// fact -> slot-index CSR (slot = StableNftaLayout::slots entry; one slot
-  /// per base-automaton transition consuming one of the fact's literals).
-  std::vector<uint32_t> fact_offsets;  // probs.size() + 1 entries
-  std::vector<uint32_t> fact_slots;
-  /// Per slot: 1 when the slot carries the fact's negative literal
-  /// (multiplier d_i − w_i), 0 for the positive one (w_i).
-  std::vector<uint8_t> slot_negative;
-  /// Per slot: the projected fact whose probability it encodes.
-  std::vector<FactId> slot_fact;
-  /// Per fact: the denominator its slot widths were sized for. A delta that
-  /// changes a fact's denominator changes the shape and cannot be patched.
-  std::vector<uint64_t> fact_den;
-};
-
 /// The probability-dependent half: the §5.1 multiplier-gadget expansion of a
-/// skeleton under concrete fact probabilities, in the value-stable slotted
-/// layout (untrimmed — dead branches route into the layout's sink and are
-/// discarded by the counting layers' liveness pruning), ready to count.
+/// skeleton under concrete fact probabilities (core/gadget_bind.h), in the
+/// value-stable slotted layout (untrimmed — dead branches route into the
+/// layout's sink and are discarded by the counting layers' liveness
+/// pruning), ready to count.
 struct BoundPqeAutomaton {
   Nfta weighted;         // T' — gadget-expanded, value-stable layout
   size_t tree_size = 0;  // k = |D'| + Σ width_i

@@ -1,8 +1,6 @@
 #include "serve/prepared_query.h"
 
-#include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstring>
 #include <optional>
 #include <utility>
@@ -13,7 +11,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "rpq/eval.h"
-#include "util/extfloat.h"
 
 namespace pqe {
 namespace serve {
@@ -114,61 +111,48 @@ void PreparedQuery::BuildBound(const std::vector<Probability>& probs,
   bound->probs_hash = slot->probs_hash;
   bound->probs = probs;
   const Bound* seed = slot->seed.get();
-  Status status;
-  if (path_.has_value()) {
-    std::optional<BoundPathNfa> b;
-    if (seed != nullptr && seed->path.has_value() &&
-        seed->path->layout != nullptr) {
-      size_t patched = 0;
-      auto delta = RebindPathPqeNfa(*seed->path, seed->probs, probs, &patched);
-      if (delta.ok()) {
-        b.emplace(std::move(*delta));
-        bound->delta_patched = true;
-        bound->patched_slots = patched;
-      }
-      // On failure (denominator drift) fall through to the full expansion.
-    }
-    if (!b.has_value() && status.ok()) {
-      auto full = BindPathPqeNfa(*path_, probs);
-      if (full.ok()) {
-        b.emplace(std::move(*full));
-      } else {
-        status = full.status();
-      }
-    }
-    if (status.ok()) {
-      // Warm the lazily built adjacency CSR before the artifact is shared:
-      // const traversals from concurrent requests must not race on it. A
-      // delta patch carried the out-CSR over from its seed and invalidated
-      // only the target-keyed half, so this rebuilds just that.
-      b->nfa.WarmAdjacency();
-      bound->path.emplace(std::move(*b));
-    }
-  } else {
-    std::optional<BoundPqeAutomaton> b;
-    if (seed != nullptr && seed->tree.has_value() &&
-        seed->tree->layout != nullptr) {
-      size_t patched = 0;
+  // One seed-patch → full-bind-fallback sequence for both routes: patch the
+  // seed's bind in place when its layout can reach `probs`; otherwise
+  // (denominator drift, or no seed yet) run the full gadget expansion.
+  auto patch_or_bind = [&](auto& route, const auto* seed_route, auto rebind,
+                           auto full_bind) -> Status {
+    if (seed_route != nullptr && seed_route->has_value()) {
       auto delta =
-          RebindPqeAutomaton(*seed->tree, seed->probs, probs, &patched);
+          rebind(**seed_route, seed->probs, probs, &bound->patched_slots);
       if (delta.ok()) {
-        b.emplace(std::move(*delta));
+        route.emplace(std::move(*delta));
         bound->delta_patched = true;
-        bound->patched_slots = patched;
+        return Status::OK();
       }
     }
-    if (!b.has_value() && status.ok()) {
-      auto full = BindPqeAutomaton(*tree_, probs);
-      if (full.ok()) {
-        b.emplace(std::move(*full));
-      } else {
-        status = full.status();
-      }
-    }
-    if (status.ok()) {
-      b->weighted.WarmRunIndex();
-      bound->tree.emplace(std::move(*b));
-    }
+    PQE_ASSIGN_OR_RETURN(auto full, full_bind());
+    route.emplace(std::move(full));
+    return Status::OK();
+  };
+  const Status status =
+      path_.has_value()
+          ? patch_or_bind(bound->path, seed ? &seed->path : nullptr,
+                          RebindPathPqeNfa,
+                          [&] { return BindPathPqeNfa(*path_, probs); })
+          : patch_or_bind(bound->tree, seed ? &seed->tree : nullptr,
+                          RebindPqeAutomaton,
+                          [&] { return BindPqeAutomaton(*tree_, probs); });
+  // Warm the lazily built indexes before the artifact is shared: const
+  // traversals from concurrent requests must not race on them. A delta
+  // patch carried the (from, symbol)-keyed half over from its seed, so this
+  // rebuilds only the target-keyed half.
+  if (bound->path.has_value()) {
+    const BoundPathNfa& m = *bound->path;
+    m.nfa.WarmAdjacency();
+    bound->automaton = PqeAnswer::AutomatonStats{
+        m.nfa.NumStates(), m.nfa.NumTransitions(), m.word_length,
+        /*decomposition_width=*/0};
+  } else if (bound->tree.has_value()) {
+    const BoundPqeAutomaton& m = *bound->tree;
+    m.weighted.WarmRunIndex();
+    bound->automaton = PqeAnswer::AutomatonStats{
+        m.weighted.NumStates(), m.weighted.NumTransitions(), m.tree_size,
+        decomposition_width_};
   }
   slot->seed.reset();
   if (status.ok()) {
@@ -345,26 +329,13 @@ Result<PqeAnswer> PreparedQuery::EvaluateFpras(
 
   PqeAnswer out;
   out.method_used = PqeMethod::kFpras;
-  CountEstimate count;
-  double log2_d = 0.0;
   const auto estimate_start = std::chrono::steady_clock::now();
-  if (bound->path.has_value()) {
-    const BoundPathNfa& m = *bound->path;
-    PQE_ASSIGN_OR_RETURN(count,
-                         CountNfaStrings(m.nfa, m.word_length, config));
-    log2_d = ExtFloat::FromBigUint(m.denominator).Log2();
-    out.automaton = PqeAnswer::AutomatonStats{
-        m.nfa.NumStates(), m.nfa.NumTransitions(), m.word_length,
-        /*decomposition_width=*/0};
-  } else {
-    const BoundPqeAutomaton& m = *bound->tree;
-    PQE_ASSIGN_OR_RETURN(count,
-                         CountNftaTrees(m.weighted, m.tree_size, config));
-    log2_d = ExtFloat::FromBigUint(m.denominator).Log2();
-    out.automaton = PqeAnswer::AutomatonStats{
-        m.weighted.NumStates(), m.weighted.NumTransitions(), m.tree_size,
-        decomposition_width_};
-  }
+  PQE_ASSIGN_OR_RETURN(
+      const CountEstimate count,
+      bound->path.has_value()
+          ? CountNfaStrings(bound->path->nfa, bound->path->word_length, config)
+          : CountNftaTrees(bound->tree->weighted, bound->tree->tree_size,
+                           config));
   if (breakdown != nullptr) {
     breakdown->estimate_ns = static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -373,9 +344,12 @@ Result<PqeAnswer> PreparedQuery::EvaluateFpras(
     breakdown->samples = count.stats.attempts;
   }
   out.count_stats = count.stats;
+  out.automaton = bound->automaton;
   // Pr_H(Q) = d⁻¹ · |L_k|, projected into [0, 1] — the same arithmetic as
   // PqeEstimate / PathPqeEstimate, so answers stay bit-identical.
-  out.probability = std::min(std::exp2(count.value.Log2() - log2_d), 1.0);
+  out.probability = ClampProbability(Log2Probability(
+      count.value, bound->path.has_value() ? bound->path->denominator
+                                           : bound->tree->denominator));
   {
     // Only completed runs reach this point (aborted ones returned above via
     // PQE_ASSIGN_OR_RETURN), so the memo never holds partial answers.

@@ -43,7 +43,7 @@ struct LabelDelta {
 /// reuses the gadget-expanded, CSR-warmed automaton outright.
 ///
 /// Incremental maintenance: binds use the value-stable gadget layout
-/// (core/pqe.h PqeBindLayout), so when a new labelling differs from a
+/// (core/gadget_bind.h PqeBindLayout), so when a new labelling differs from a
 /// cached one only in numerators, the bind is produced by *patching* the
 /// prior bound automaton in place of its changed gadget slots (a delta
 /// rebind) instead of re-running the whole gadget expansion. Structure
@@ -176,6 +176,7 @@ class PreparedQuery {
     std::vector<Probability> probs;         // the bound labelling (delta seed)
     std::optional<BoundPqeAutomaton> tree;  // generic route
     std::optional<BoundPathNfa> path;       // string route
+    PqeAnswer::AutomatonStats automaton;    // shape of whichever is bound
     size_t patched_slots = 0;               // 0 unless built by delta patch
     bool delta_patched = false;             // built by patching a prior bound
     mutable std::mutex memo_mu;

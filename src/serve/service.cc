@@ -290,32 +290,7 @@ Result<PqeService::UpdateStats> PqeService::ApplyUpdate(
     record.status = "ok";
     recorder_->Record(record);
   }
-  std::vector<WatchCallback> callbacks;
-  {
-    std::lock_guard<std::mutex> lock(watch_mu_);
-    callbacks.reserve(watchers_.size());
-    for (const auto& w : watchers_) callbacks.push_back(w.second);
-  }
-  for (const WatchCallback& cb : callbacks) cb(delta, stats);
   return stats;
-}
-
-uint64_t PqeService::Watch(WatchCallback callback) const {
-  std::lock_guard<std::mutex> lock(watch_mu_);
-  const uint64_t token = next_watch_token_++;
-  watchers_.emplace_back(token, std::move(callback));
-  return token;
-}
-
-bool PqeService::Unwatch(uint64_t token) const {
-  std::lock_guard<std::mutex> lock(watch_mu_);
-  for (auto it = watchers_.begin(); it != watchers_.end(); ++it) {
-    if (it->first == token) {
-      watchers_.erase(it);
-      return true;
-    }
-  }
-  return false;
 }
 
 EvalResponse PqeService::EvaluatePrepared(

@@ -250,9 +250,10 @@ TEST(MultiplierNftaTest, GadgetMultipliesExactly) {
     m.SetInitialState(s);
     m.EnsureAlphabetSize(1);
     ASSERT_TRUE(m.AddTransition(s, 0, n, {}).ok());
-    auto nfta = m.ToNfta();
+    StableGadgetLayout layout;
+    auto nfta = m.ToNftaStable(&layout);
     ASSERT_TRUE(nfta.ok());
-    const size_t size = 1 + MultiplierNfta::GadgetDepth(n);
+    const size_t size = 1 + GadgetDepth(n);
     auto count = ExactCountNftaTrees(*nfta, size);
     ASSERT_TRUE(count.ok());
     EXPECT_EQ(count->ToDecimalString(), std::to_string(n)) << "n=" << n;
@@ -267,7 +268,8 @@ TEST(MultiplierNftaTest, PaddedWidthKeepsCount) {
     m.EnsureAlphabetSize(1);
     const uint64_t width = 6;  // padded well beyond the minimum
     ASSERT_TRUE(m.AddTransition(s, 0, n, {}, width).ok());
-    auto nfta = m.ToNfta();
+    StableGadgetLayout layout;
+    auto nfta = m.ToNftaStable(&layout);
     ASSERT_TRUE(nfta.ok());
     auto count = ExactCountNftaTrees(*nfta, 1 + width);
     ASSERT_TRUE(count.ok());
@@ -278,12 +280,12 @@ TEST(MultiplierNftaTest, PaddedWidthKeepsCount) {
 }
 
 TEST(MultiplierNftaTest, GadgetDepthIsLogarithmic) {
-  EXPECT_EQ(MultiplierNfta::GadgetDepth(1), 0u);
-  EXPECT_EQ(MultiplierNfta::GadgetDepth(2), 1u);
-  EXPECT_EQ(MultiplierNfta::GadgetDepth(3), 2u);
-  EXPECT_EQ(MultiplierNfta::GadgetDepth(5), 3u);
-  EXPECT_EQ(MultiplierNfta::GadgetDepth(1025), 11u);
-  EXPECT_EQ(MultiplierNfta::GadgetDepth(513), 10u);
+  EXPECT_EQ(GadgetDepth(1), 0u);
+  EXPECT_EQ(GadgetDepth(2), 1u);
+  EXPECT_EQ(GadgetDepth(3), 2u);
+  EXPECT_EQ(GadgetDepth(5), 3u);
+  EXPECT_EQ(GadgetDepth(1025), 11u);
+  EXPECT_EQ(GadgetDepth(513), 10u);
 }
 
 TEST(MultiplierNftaTest, RejectsBadArguments) {
@@ -292,13 +294,13 @@ TEST(MultiplierNftaTest, RejectsBadArguments) {
   m.SetInitialState(s);
   EXPECT_FALSE(m.AddTransition(s, 0, 8, {}, 2).ok());      // width too small
   EXPECT_FALSE(m.AddTransition(s + 7, 0, 1, {}).ok());     // unknown state
-  // Multiplier 0 (an impossible transition) is representable, but only by
-  // the stable translation — the minimal ToNfta rejects it, since dropping
-  // the transition is its minimal encoding.
+  // Multiplier 0 (an impossible transition) is representable: its slot's
+  // entry routes into the dead sink, so it accepts no tree at all.
   EXPECT_TRUE(m.AddTransition(s, 0, 0, {}).ok());
-  EXPECT_FALSE(m.ToNfta().ok());
-  StableNftaLayout layout;
-  EXPECT_TRUE(m.ToNftaStable(&layout).ok());
+  StableGadgetLayout layout;
+  auto nfta = m.ToNftaStable(&layout);
+  ASSERT_TRUE(nfta.ok());
+  EXPECT_EQ(ExactCountNftaTrees(*nfta, 1)->ToDecimalString(), "0");
 }
 
 TEST(MultiplierNftaTest, ComposesThroughChildren) {
@@ -310,10 +312,10 @@ TEST(MultiplierNftaTest, ComposesThroughChildren) {
   m.EnsureAlphabetSize(2);
   ASSERT_TRUE(m.AddTransition(root, 0, 3, {leaf}).ok());
   ASSERT_TRUE(m.AddTransition(leaf, 1, 2, {}).ok());
-  auto nfta = m.ToNfta();
+  StableGadgetLayout layout;
+  auto nfta = m.ToNftaStable(&layout);
   ASSERT_TRUE(nfta.ok());
-  const size_t size = 2 + MultiplierNfta::GadgetDepth(3) +
-                      MultiplierNfta::GadgetDepth(2);
+  const size_t size = 2 + GadgetDepth(3) + GadgetDepth(2);
   EXPECT_EQ(ExactCountNftaTrees(*nfta, size)->ToDecimalString(), "6");
 }
 

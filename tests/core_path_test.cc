@@ -1,13 +1,24 @@
 // Tests for the Section 3 construction (Theorem 2): the path-query NFA and
 // PathEstimate. The key property is the bijection |L_{|D'|}(M)| = UR(Q, D).
+// Also home of the pinned-answer table for both automaton routes.
+
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/engine.h"
 #include "core/path_pqe.h"
 #include "counting/exact.h"
 #include "cq/builders.h"
 #include "eval/eval.h"
 #include "pdb/probabilistic_database.h"
+#include "rpq/regex.h"
+#include "serve/service.h"
 #include "workload/generators.h"
 
 namespace pqe {
@@ -200,6 +211,162 @@ TEST(PathNfaTest, StateCountPolynomialBound) {
       bound += c * c;
     }
     EXPECT_LE(m.nfa.NumStates(), bound);
+  }
+}
+
+// --- Answers pinned across commits ------------------------------------------
+//
+// Bit-identity tests elsewhere compare two paths inside one build, so an
+// encoding change that hits both paths equally slips past them. This table
+// pins the answers themselves: the probability's bit pattern and the bound
+// automaton's (states, transitions, k), per route and kernel tier, at fixed
+// seeds. A row may only change together with a deliberate, documented
+// change of the encoding or the sampler.
+
+PqeEngine::Options PinnedOptions(KernelMode mode) {
+  auto opts = PqeEngine::Options::Builder()
+                  .Method(PqeMethod::kFpras)
+                  .Epsilon(0.3)
+                  .Seed(0xfeed)
+                  .PoolSize(48)
+                  .Repetitions(1)
+                  .NumThreads(1)
+                  .Kernels(mode)
+                  .Build();
+  EXPECT_TRUE(opts.ok()) << opts.status().ToString();
+  return *opts;
+}
+
+// Caterpillar-3 (tree route: the unary labels make it a non-path query).
+QueryInstance PinnedCaterpillar() {
+  return MakeCaterpillarQuery(3).MoveValue();
+}
+
+ProbabilisticDatabase PinnedCaterpillarData(const QueryInstance& qi) {
+  Database db(qi.schema);
+  const std::pair<const char*, std::vector<std::string>> facts[] = {
+      {"R1", {"a0", "b0"}}, {"R1", {"a1", "b0"}}, {"R1", {"a1", "b1"}},
+      {"L2", {"b0"}},       {"L2", {"b1"}},       {"R2", {"b0", "c0"}},
+      {"R2", {"b1", "c1"}}, {"R2", {"b0", "c1"}}, {"L3", {"c0"}},
+      {"L3", {"c1"}},       {"R3", {"c0", "d0"}}, {"R3", {"c1", "d1"}},
+  };
+  for (const auto& [rel, args] : facts) {
+    EXPECT_TRUE(db.AddFactByName(rel, args).ok());
+  }
+  ProbabilityModel pm;
+  pm.max_denominator = 8;
+  pm.seed = 12;
+  return AttachProbabilities(std::move(db), pm);
+}
+
+struct PinnedRow {
+  const char* name;
+  KernelMode mode;
+  const char* probability_bits;  // hex of the double's bit pattern
+  size_t states;
+  size_t transitions;
+  size_t k;
+};
+
+constexpr PinnedRow kPinnedRows[] = {
+    {"tree_caterpillar3", KernelMode::kExact, "3fb13496c57a37c6", 320, 631, 46},
+    {"tree_caterpillar3", KernelMode::kFast, "3fb022a5a0128895", 320, 631, 46},
+    {"path_cq3", KernelMode::kExact, "3fe27fadbe268816", 329, 654, 36},
+    {"path_cq3", KernelMode::kFast, "3fe65abc2186185d", 329, 654, 36},
+    {"rpq_product", KernelMode::kExact, "3fedcd724ef334d7", 331, 650, 28},
+    {"rpq_product", KernelMode::kFast, "3fe1daecccccccc9", 331, 650, 28},
+    {"tree_delta_patch", KernelMode::kExact, "3fb49fed23b45d2f", 320, 631, 46},
+    {"tree_delta_patch", KernelMode::kFast, "3fb37d5986d93b36", 320, 631, 46},
+};
+
+std::string ProbabilityBits(double p) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &p, sizeof(bits));
+  char buf[19];
+  std::snprintf(buf, sizeof(buf), "%016llx",
+                static_cast<unsigned long long>(bits));
+  return buf;
+}
+
+PqeAnswer PinnedAnswer(const std::string& name, KernelMode mode) {
+  const PqeEngine::Options opts = PinnedOptions(mode);
+  if (name == "tree_caterpillar3") {
+    QueryInstance qi = PinnedCaterpillar();
+    ProbabilisticDatabase pdb = PinnedCaterpillarData(qi);
+    EvalResponse r =
+        PqeEngine(opts).EvaluateRequest(EvalRequest::ForQuery(qi.query, pdb));
+    EXPECT_TRUE(r.status.ok()) << r.status.ToString();
+    return r.answer;
+  }
+  if (name == "path_cq3") {
+    auto qi = MakePathQuery(3).MoveValue();
+    LayeredGraphOptions gopt;
+    gopt.width = 2;
+    gopt.density = 0.8;
+    gopt.seed = 3;
+    ProbabilityModel pm;
+    pm.max_denominator = 8;
+    pm.seed = 4;
+    ProbabilisticDatabase pdb = AttachProbabilities(
+        MakeLayeredPathDatabase(qi, gopt).MoveValue(), pm);
+    EvalResponse r =
+        PqeEngine(opts).EvaluateRequest(EvalRequest::ForQuery(qi.query, pdb));
+    EXPECT_TRUE(r.status.ok()) << r.status.ToString();
+    return r.answer;
+  }
+  if (name == "rpq_product") {
+    KgReachabilityOptions kopt;
+    kopt.layers = 3;
+    kopt.width = 2;
+    kopt.density = 0.6;
+    kopt.seed = 5;
+    ProbabilityModel pm;
+    pm.max_denominator = 8;
+    pm.seed = 6;
+    ProbabilisticDatabase pdb = AttachProbabilities(
+        MakeKgReachabilityDatabase(kopt).MoveValue(), pm);
+    auto q = rpq::RpqQuery::Parse("a/(a|b)*/a").MoveValue();
+    EXPECT_FALSE(q.IsLinearChain());  // the product construction, not lowering
+    EvalResponse r =
+        PqeEngine(opts).EvaluateRequest(EvalRequest::ForRpq(q, pdb));
+    EXPECT_TRUE(r.status.ok()) << r.status.ToString();
+    return r.answer;
+  }
+  // tree_delta_patch: a served caterpillar whose bind is refreshed by a
+  // numerator-only update, i.e. by patching gadget slots in place.
+  QueryInstance qi = PinnedCaterpillar();
+  ProbabilisticDatabase pdb = PinnedCaterpillarData(qi);
+  serve::PqeService::Options sopt;
+  sopt.engine = opts;
+  sopt.num_threads = 1;
+  serve::PqeService service(sopt);
+  const EvalRequest first = EvalRequest::ForQuery(qi.query, pdb);
+  EXPECT_TRUE(service.Evaluate(first).status.ok());
+  const Probability p = pdb.probability(0);
+  const serve::LabelDelta delta{
+      {0}, {Probability{(p.num + 1) % (p.den + 1), p.den}}};
+  auto stats = service.ApplyUpdate(&pdb, delta);
+  EXPECT_TRUE(stats.ok()) << stats.status().ToString();
+  if (stats.ok()) {
+    EXPECT_EQ(stats->delta_rebinds, 1u);
+  }
+  EvalResponse r = service.Evaluate(EvalRequest::ForQuery(qi.query, pdb));
+  EXPECT_TRUE(r.status.ok()) << r.status.ToString();
+  return r.answer;
+}
+
+TEST(PinnedAnswerTest, AnswersAndAutomatonShapesMatchTheTable) {
+  for (const PinnedRow& row : kPinnedRows) {
+    const PqeAnswer a = PinnedAnswer(row.name, row.mode);
+    ASSERT_TRUE(a.automaton.has_value()) << row.name;
+    const std::string what =
+        std::string(row.name) +
+        (row.mode == KernelMode::kFast ? " (fast)" : " (exact)");
+    EXPECT_EQ(ProbabilityBits(a.probability), row.probability_bits)
+        << what << ": p=" << a.probability;
+    EXPECT_EQ(a.automaton->states, row.states) << what;
+    EXPECT_EQ(a.automaton->transitions, row.transitions) << what;
+    EXPECT_EQ(a.automaton->tree_size, row.k) << what;
   }
 }
 

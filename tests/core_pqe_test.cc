@@ -90,8 +90,11 @@ TEST(PqeAutomatonTest, UniformHalfReducesToUniformReliability) {
 // and probability models.
 // ---------------------------------------------------------------------------
 
+// Every field is 64-bit so the struct has no padding: gtest names each case
+// by the struct's raw bytes, and padding bytes would make the names vary
+// from run to run.
 struct PqeCase {
-  int family;  // 0=path2, 1=star2, 2=h0, 3=cycle3
+  uint64_t family;  // 0=path2, 1=star2, 2=h0, 3=cycle3
   uint64_t seed;
   uint64_t max_den;
 };

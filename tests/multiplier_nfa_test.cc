@@ -21,9 +21,10 @@ TEST(MultiplierNfaTest, GadgetMultipliesExactly) {
     m.MarkAccepting(t);
     m.EnsureAlphabetSize(1);
     ASSERT_TRUE(m.AddTransition(s, 0, n, t).ok());
-    auto nfa = m.ToNfa();
+    StableGadgetLayout layout;
+    auto nfa = m.ToNfaStable(&layout);
     ASSERT_TRUE(nfa.ok());
-    const size_t len = 1 + MultiplierNfa::GadgetDepth(n);
+    const size_t len = 1 + GadgetDepth(n);
     auto count = ExactCountNfaStrings(*nfa, len);
     ASSERT_TRUE(count.ok());
     EXPECT_EQ(count->ToDecimalString(), std::to_string(n)) << "n=" << n;
@@ -40,7 +41,8 @@ TEST(MultiplierNfaTest, PaddedWidthKeepsCount) {
     m.EnsureAlphabetSize(1);
     const uint64_t width = 5;
     ASSERT_TRUE(m.AddTransition(s, 0, n, t, width).ok());
-    auto nfa = m.ToNfa().MoveValue();
+    StableGadgetLayout layout;
+    auto nfa = m.ToNfaStable(&layout).MoveValue();
     EXPECT_EQ(ExactCountNfaStrings(nfa, 1 + width)->ToDecimalString(),
               std::to_string(n))
         << "n=" << n;
@@ -60,9 +62,9 @@ TEST(MultiplierNfaTest, ChainMultipliersCompose) {
   m.EnsureAlphabetSize(2);
   ASSERT_TRUE(m.AddTransition(s, 0, 3, u).ok());
   ASSERT_TRUE(m.AddTransition(u, 1, 4, t).ok());
-  auto nfa = m.ToNfa().MoveValue();
-  const size_t len = 2 + MultiplierNfa::GadgetDepth(3) +
-                     MultiplierNfa::GadgetDepth(4);
+  StableGadgetLayout layout;
+  auto nfa = m.ToNfaStable(&layout).MoveValue();
+  const size_t len = 2 + GadgetDepth(3) + GadgetDepth(4);
   EXPECT_EQ(ExactCountNfaStrings(nfa, len)->ToDecimalString(), "12");
 }
 
@@ -76,7 +78,8 @@ TEST(MultiplierNfaTest, SkeletonPreservesShape) {
   MultiplierNfa m = MultiplierNfa::FromSkeleton(base);
   EXPECT_EQ(m.NumStates(), 2u);
   ASSERT_TRUE(m.AddTransition(a, 0, 2, b).ok());
-  auto nfa = m.ToNfa().MoveValue();
+  StableGadgetLayout layout;
+  auto nfa = m.ToNfaStable(&layout).MoveValue();
   EXPECT_EQ(ExactCountNfaStrings(nfa, 2)->ToDecimalString(), "2");
 }
 
@@ -86,12 +89,14 @@ TEST(MultiplierNfaTest, RejectsBadArguments) {
   m.MarkInitial(s);
   EXPECT_FALSE(m.AddTransition(s, 0, 8, s, 2).ok());    // width too small
   EXPECT_FALSE(m.AddTransition(s, 0, 1, s + 9).ok());   // unknown state
-  // Multiplier 0 is representable, but only by the stable translation —
-  // the minimal ToNfa rejects it (its minimal encoding is absence).
+  // Multiplier 0 is representable: its slot's entry routes into the dead
+  // sink, so no string is accepted.
+  m.MarkAccepting(s);
   EXPECT_TRUE(m.AddTransition(s, 0, 0, s).ok());
-  EXPECT_FALSE(m.ToNfa().ok());
-  StableNfaLayout layout;
-  EXPECT_TRUE(m.ToNfaStable(&layout).ok());
+  StableGadgetLayout layout;
+  auto nfa = m.ToNfaStable(&layout);
+  ASSERT_TRUE(nfa.ok());
+  EXPECT_EQ(ExactCountNfaStrings(*nfa, 1)->ToDecimalString(), "0");
 }
 
 }  // namespace
