@@ -1,24 +1,21 @@
-// E11 — Counting-core hot-path overhaul (docs/performance.md): wall-time of
-// the full PQE estimate pipeline with the hot-path caches (reusable
-// WeightedPickers + memoized run-state membership + CSR automata accessors)
-// against the in-binary legacy baseline (EstimatorConfig::
-// disable_hotpath_caches), on the E4 data-scaling sweep and the E8 query-
-// length sweep, single-threaded.
+// E11 — Counting-core hot path (docs/performance.md): wall-time of the full
+// PQE estimate pipeline in the two kernel tiers — the exact tier (reusable
+// WeightedPickers, scalar draws) and the batched fast tier (alias tables,
+// block RNG) — both over the shared memoized membership oracle and CSR
+// automata accessors, on the E4 data-scaling sweep and the E8 query-length
+// sweep, single-threaded.
 //
 //   bench_counting_hotpath [--smoke] [--metrics_out=BENCH_counting_hotpath.json]
 //
 // Each sweep cell is recorded as gauges
-// pqe.bench.counting_hotpath.<sweep>.<point>.{legacy_ms,cached_ms,fast_ms,
-// speedup,fast_speedup}, plus memo hit/miss, picker-build, alias-build and
-// batch-draw counts from the cached/fast runs' stats. fast_speedup is the
-// batched alias-table kernels (kernel_mode=fast) against the cached exact
-// tier.
-// The two modes are draw-identical by construction, so every cell also
-// cross-checks that the cached estimate equals the legacy one bit for bit;
-// the largest oracle-feasible E4 cell (width 3 — the exact subset DP blows
-// its entry budget beyond that) is additionally checked against the exact
-// oracle within the configured ε band. --smoke shrinks both sweeps to their
-// two smallest cells for CI.
+// pqe.bench.counting_hotpath.<sweep>.<point>.{cached_ms,fast_ms,
+// fast_speedup}, plus memo hit/miss, picker-build, alias-build and
+// batch-draw counts from the exact/fast runs' stats. fast_speedup is the
+// fast tier against the exact tier (cached_ms / fast_ms). The largest
+// oracle-feasible E4 cell (width 3 — the exact subset DP blows its entry
+// budget beyond that) is checked against the exact oracle within the
+// configured ε band in both tiers. --smoke shrinks both sweeps to their two
+// smallest cells for CI.
 
 #include <chrono>
 #include <cmath>
@@ -45,10 +42,9 @@ double MillisSince(std::chrono::steady_clock::time_point start) {
 }
 
 struct CellResult {
-  double legacy_ms = 0.0;
-  double cached_ms = 0.0;
-  double fast_ms = 0.0;
-  double log2_probability = 0.0;       // exact tier (cached == legacy)
+  double cached_ms = 0.0;              // exact tier
+  double fast_ms = 0.0;                // fast tier
+  double log2_probability = 0.0;       // exact tier
   double fast_log2_probability = 0.0;  // fast tier (statistical only)
 };
 
@@ -57,10 +53,8 @@ void RecordCell(const std::string& cell, const CellResult& r,
                 const CountStats& fast_stats) {
   const std::string prefix = "pqe.bench.counting_hotpath." + cell;
   auto& reg = obs::MetricRegistry::Global();
-  reg.GetGauge(prefix + ".legacy_ms").Set(r.legacy_ms);
   reg.GetGauge(prefix + ".cached_ms").Set(r.cached_ms);
   reg.GetGauge(prefix + ".fast_ms").Set(r.fast_ms);
-  reg.GetGauge(prefix + ".speedup").Set(r.legacy_ms / r.cached_ms);
   reg.GetGauge(prefix + ".fast_speedup").Set(r.cached_ms / r.fast_ms);
   reg.GetGauge(prefix + ".picker_builds")
       .Set(static_cast<double>(cached_stats.picker_builds));
@@ -74,9 +68,8 @@ void RecordCell(const std::string& cell, const CellResult& r,
       .Set(static_cast<double>(cached_stats.runstates_memo_misses));
 }
 
-// Runs the estimate three times — legacy hot path, cached, then the batched
-// fast kernels — and checks the bit-identical-draws contract between the two
-// exact-tier runs before reporting timings.
+// Runs the estimate twice — the exact tier, then the batched fast kernels —
+// and reports both timings.
 CellResult MeasureCell(const std::string& cell, const ConjunctiveQuery& query,
                        const ProbabilisticDatabase& pdb,
                        const EstimatorConfig& base_cfg) {
@@ -84,21 +77,9 @@ CellResult MeasureCell(const std::string& cell, const ConjunctiveQuery& query,
   EstimatorConfig cfg = base_cfg;
   cfg.num_threads = 1;
 
-  cfg.disable_hotpath_caches = true;
   auto t0 = std::chrono::steady_clock::now();
-  auto legacy = PqeEstimate(query, pdb, cfg).MoveValue();
-  out.legacy_ms = MillisSince(t0);
-
-  cfg.disable_hotpath_caches = false;
-  t0 = std::chrono::steady_clock::now();
   auto cached = PqeEstimate(query, pdb, cfg).MoveValue();
   out.cached_ms = MillisSince(t0);
-
-  // The cached path consumes the same RNG stream and answers the same
-  // membership queries as the legacy path, so the estimates must agree
-  // exactly — any drift is a bug, not noise.
-  PQE_CHECK(cached.log2_probability == legacy.log2_probability);
-  PQE_CHECK(cached.tree_count.ToString() == legacy.tree_count.ToString());
   out.log2_probability = cached.log2_probability;
 
   // Fast tier: different draw stream (alias tables over block RNG words), so
@@ -112,11 +93,11 @@ CellResult MeasureCell(const std::string& cell, const ConjunctiveQuery& query,
             fast.log2_probability == -std::numeric_limits<double>::infinity());
 
   RecordCell(cell, out, cached.stats, fast.stats);
-  std::printf("  %-10s %-12.1f %-12.1f %-12.1f %-8.2f %-8.2f %-12.4f "
+  std::printf("  %-10s %-12.1f %-12.1f %-8.2f %-12.4f "
               "hits=%zu misses=%zu batches=%zu\n",
-              cell.c_str(), out.legacy_ms, out.cached_ms, out.fast_ms,
-              out.legacy_ms / out.cached_ms, out.cached_ms / out.fast_ms,
-              out.log2_probability, cached.stats.runstates_memo_hits,
+              cell.c_str(), out.cached_ms, out.fast_ms,
+              out.cached_ms / out.fast_ms, out.log2_probability,
+              cached.stats.runstates_memo_hits,
               cached.stats.runstates_memo_misses, fast.stats.batch_draws);
   return out;
 }
@@ -127,9 +108,8 @@ void SweepDataScaling(uint32_t max_width, size_t smoke_pool) {
   std::printf(
       "E4 sweep — path query length 4, layered width 2..%u, density 0.6\n",
       max_width);
-  std::printf("  %-10s %-12s %-12s %-12s %-8s %-8s %s\n", "cell",
-              "legacy_ms", "cached_ms", "fast_ms", "speedup", "fast_spd",
-              "log2(P)");
+  std::printf("  %-10s %-12s %-12s %-8s %s\n", "cell", "cached_ms",
+              "fast_ms", "fast_spd", "log2(P)");
   auto qi = MakePathQuery(4).MoveValue();
   EstimatorConfig cfg;
   cfg.epsilon = 0.25;
@@ -138,8 +118,8 @@ void SweepDataScaling(uint32_t max_width, size_t smoke_pool) {
   // Median-of-3: the FPRAS's own δ mechanism. One repetition leaves the
   // oracle cell's ε gate at the mercy of a single draw stream (the fast
   // kernel's per-run variance breaches ε on ~1/3 of seeds); the median
-  // concentrates both kernels inside the band. Ratios (speedups) are
-  // unchanged — every mode pays the same factor.
+  // concentrates both kernels inside the band. The fast_speedup ratio is
+  // unchanged — both tiers pay the same factor.
   cfg.repetitions = 3;
   for (uint32_t width = 2; width <= max_width; ++width) {
     LayeredGraphOptions opt;
@@ -194,9 +174,8 @@ void SweepQueryScaling(uint32_t max_len, size_t smoke_pool) {
       "E8 sweep — path query length 2..%u, layered width 4, density 1.0, "
       "median-of-3\n",
       max_len);
-  std::printf("  %-10s %-12s %-12s %-12s %-8s %-8s %s\n", "cell",
-              "legacy_ms", "cached_ms", "fast_ms", "speedup", "fast_spd",
-              "log2(P)");
+  std::printf("  %-10s %-12s %-12s %-8s %s\n", "cell", "cached_ms",
+              "fast_ms", "fast_spd", "log2(P)");
   EstimatorConfig cfg;
   cfg.epsilon = 0.25;
   cfg.seed = 17;
@@ -230,8 +209,8 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
   }
   std::printf(
-      "E11 — counting-core hot path: cached vs legacy (single thread)\n"
-      "==============================================================\n\n"
+      "E11 — counting-core hot path: exact vs fast tier (single thread)\n"
+      "================================================================\n\n"
       "%s",
       smoke ? "smoke mode: two smallest cells per sweep\n\n" : "\n");
   // Smoke keeps the full run's per-stratum pool (96) for the E4 sweep: the
@@ -241,8 +220,6 @@ int main(int argc, char** argv) {
   // Smoke's cost saving comes from capping the width at 3.
   SweepDataScaling(smoke ? 3 : 7, smoke ? 96 : 0);
   SweepQueryScaling(smoke ? 3 : 7, smoke ? 24 : 0);
-  std::printf("determinism: every cell's cached estimate matched the legacy "
-              "estimate bit for bit\n");
   if (!metrics_out.empty()) {
     Status status = obs::WriteMetricsJsonFile(metrics_out);
     if (!status.ok()) {

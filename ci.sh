@@ -31,7 +31,9 @@ run_config() {
 }
 
 tier1() {
-  run_config "tier-1" build
+  # Warnings are errors here: the default build is warning-free, and this
+  # keeps it so.
+  run_config "tier-1" build -DPQE_WERROR=ON
 }
 
 notrace() {
@@ -135,7 +137,8 @@ faultsim() {
 
 perf_smoke() {
   # Smoke the perf benches: each must complete (their cells assert
-  # bit-identity internally) and emit parseable metrics JSON.
+  # bit-identity or oracle accuracy internally) and emit parseable metrics
+  # JSON.
   echo "==== perf-smoke: build bench_counting_hotpath + bench_serving + bench_serving_updates + bench_sharded_serving + bench_rpq ===="
   cmake -B build -S . >/dev/null
   cmake --build build -j "${JOBS}" \
@@ -164,8 +167,8 @@ import json, sys
 with open(sys.argv[1]) as f:
     doc = json.load(f)
 gauges = doc.get("metrics", doc).get("gauges", {})
-cells = [k for k in gauges if "counting_hotpath" in k and k.endswith(".speedup")]
-assert cells, "no counting_hotpath speedup gauges in metrics JSON"
+cells = [k for k in gauges if "counting_hotpath" in k and k.endswith(".cached_ms")]
+assert cells, "no counting_hotpath cached_ms gauges in metrics JSON"
 fast = [k for k in gauges if "counting_hotpath" in k and k.endswith(".fast_speedup")]
 assert fast, "no counting_hotpath fast_speedup gauges in metrics JSON (fast-kernels cell missing)"
 with open(sys.argv[2]) as f:

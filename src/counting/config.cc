@@ -27,13 +27,11 @@ Result<KernelMode> KernelModeFromString(std::string_view name) {
 }
 
 void RecordCountRun(const char* prefix, const CountStats& stats,
-                    bool hotpath_cached, KernelMode kernel_mode,
-                    obs::ScopedSpan* span) {
+                    KernelMode kernel_mode, obs::ScopedSpan* span) {
   stats.ForEachField([&](const char* name, uint64_t value) {
     span->AttrUint(name, value);
   });
   span->AttrUint("canonical_rejections", stats.attempts - stats.accepted);
-  span->AttrText("hotpath", hotpath_cached ? "cached" : "legacy");
   span->AttrText("kernels", KernelModeToString(kernel_mode));
   auto& metrics = obs::MetricRegistry::Global();
   metrics.GetCounter(std::string(prefix) + ".runs").Increment();
@@ -72,6 +70,14 @@ std::string CountStats::ToString() const {
     first = false;
   });
   return out.str();
+}
+
+void CountStats::MergeRepetition(const CountStats& rep) {
+#define PQE_COUNT_STATS_SUM(field) field += rep.field;
+  PQE_COUNT_STATS_FIELDS(PQE_COUNT_STATS_SUM)
+#undef PQE_COUNT_STATS_SUM
+  strata_total = rep.strata_total;
+  strata_live = rep.strata_live;
 }
 
 }  // namespace pqe

@@ -73,15 +73,10 @@ struct EstimatorConfig {
   /// every (state, size) stratum with a non-empty language is processed,
   /// even those that cannot occur inside an accepted object of size n.
   bool disable_backward_pruning = false;
-  /// Ablation switch: fall back to the pre-optimization hot path — per-draw
-  /// PickWeightedIndex (no reusable pickers) and materialize-then-simulate
-  /// membership checks (no run-state memo). Draw-for-draw identical to the
-  /// cached path by construction (docs/performance.md), so estimates match
-  /// bit for bit; bench_counting_hotpath uses it as the in-binary baseline.
-  bool disable_hotpath_caches = false;
-  /// Sampling-kernel tier (see KernelMode). kFast implies the cached hot
-  /// path; it is independent of `disable_hotpath_caches`, which only
-  /// ablates the kExact tier.
+  /// Sampling-kernel tier (see KernelMode). It selects only what changes
+  /// answer bits: how weighted picks are drawn (cumulative table vs alias
+  /// table) and how RNG words are consumed (one at a time vs in blocks).
+  /// Both tiers share one membership oracle per counter.
   KernelMode kernel_mode = KernelMode::kExact;
   /// Cooperative cancellation (optional, not owned; must outlive the run).
   /// The counters poll the token once per processed stratum and every few
@@ -140,6 +135,11 @@ struct CountStats {
 
   /// "field=value" pairs for every field (via ForEachField).
   std::string ToString() const;
+
+  /// Folds one median-of-R repetition's stats into this aggregate: every
+  /// field is summed, except strata_total/strata_live, which describe the
+  /// automaton (identical across repetitions) and are assigned.
+  void MergeRepetition(const CountStats& rep);
 };
 
 namespace internal {
@@ -168,16 +168,14 @@ class ScopedSpan;
 }  // namespace obs
 
 /// Observability hook shared by CountNFA/CountNFTA: attaches every
-/// CountStats field (plus the derived canonical_rejections, the
-/// `hotpath` = "cached"/"legacy" mode marker and the `kernels` =
-/// "exact"/"fast" tier) to `span` and folds the run into the global metric
-/// registry under `prefix` (e.g. "pqe.count_nfta"), plus the cross-counter
-/// `counting.picker_builds` / `counting.alias_builds` /
+/// CountStats field (plus the derived canonical_rejections and the
+/// `kernels` = "exact"/"fast" tier) to `span` and folds the run into the
+/// global metric registry under `prefix` (e.g. "pqe.count_nfta"), plus the
+/// cross-counter `counting.picker_builds` / `counting.alias_builds` /
 /// `counting.batch_draws` / `counting.runstates_memo_{hits,misses}`
 /// hot-path counters. One call per counter run, not per sample.
 void RecordCountRun(const char* prefix, const CountStats& stats,
-                    bool hotpath_cached, KernelMode kernel_mode,
-                    obs::ScopedSpan* span);
+                    KernelMode kernel_mode, obs::ScopedSpan* span);
 
 }  // namespace pqe
 

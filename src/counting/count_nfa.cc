@@ -1,17 +1,15 @@
 #include "counting/count_nfa.h"
 
 #include <algorithm>
-#include <chrono>
 #include <map>
-#include <optional>
 #include <vector>
 
+#include "counting/median_of_r.h"
 #include "counting/weighted_pick.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/check.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace pqe {
 
@@ -24,8 +22,8 @@ constexpr size_t kDrawBatch = 256;
 
 // A pooled sample of A(q, l), stored as a derivation reference: the incoming
 // transition taken and the index of the prefix sample in the predecessor
-// stratum's pool. Strings are materialized on demand (O(l)), so pools cost
-// O(1) memory per sample.
+// stratum's pool. Strings are never materialized, so pools cost O(1) memory
+// per sample.
 struct SampleRef {
   uint32_t transition = 0;  // index into nfa.transitions()
   uint32_t prefix = 0;      // index into pool[from][l-1]
@@ -39,7 +37,6 @@ class NfaCounter {
         config_(config),
         rng_(config.seed),
         fast_(config.kernel_mode == KernelMode::kFast),
-        cached_(fast_ || !config.disable_hotpath_caches),
         cancel_(config.cancel) {}
 
   Result<CountEstimate> Run() {
@@ -49,7 +46,7 @@ class NfaCounter {
     }
     if (Cancelled()) return DeadlineError(0);
     pool_target_ = config_.ResolvePoolSize(n_);
-    if (cached_) reach_memo_.assign(n_ + 1, MemoLevel(S));
+    reach_memo_.assign(n_ + 1, MemoLevel(S));
 
     ComputeFeasibility();
 
@@ -110,23 +107,6 @@ class NfaCounter {
         if (live_[l][q]) ++stats_.strata_live;
       }
     }
-  }
-
-  // Materializes the string of pools_[l][q][idx] (length l).
-  std::vector<SymbolId> Materialize(StateId q, size_t l, uint32_t idx) const {
-    std::vector<SymbolId> out(l);
-    size_t cur_l = l;
-    StateId cur_q = q;
-    uint32_t cur_idx = idx;
-    while (cur_l > 0) {
-      const SampleRef& ref = pools_[cur_l][cur_q][cur_idx];
-      const Nfa::Transition& t = nfa_.transitions()[ref.transition];
-      out[cur_l - 1] = t.symbol;
-      cur_q = t.from;
-      cur_idx = ref.prefix;
-      --cur_l;
-    }
-    return out;
   }
 
   // Memoized membership oracle: the sorted set of states the automaton can
@@ -197,32 +177,23 @@ class NfaCounter {
   // The drawer mode every weighted pick in this counter routes through —
   // the single kernel-mode dispatch point.
   IndexDrawer::Mode DrawMode() const {
-    if (fast_) return IndexDrawer::Mode::kAlias;
-    return cached_ ? IndexDrawer::Mode::kCached : IndexDrawer::Mode::kLegacy;
+    return fast_ ? IndexDrawer::Mode::kAlias : IndexDrawer::Mode::kCached;
   }
 
   // Canonical check: the chosen transition must be the first (by transition
   // index) in the group whose predecessor state can be reached on the
-  // sampled prefix — decided exactly by simulation (memoized over the
-  // derivation ref; the legacy ablation path re-simulates the materialized
-  // prefix from scratch).
+  // sampled prefix — decided exactly by simulation, memoized over the
+  // derivation ref.
   bool IsCanonical(const Group& g, const SampleRef& candidate, size_t l) {
     const Nfa::Transition* trans = nfa_.transitions().data();
     const Nfa::Transition& t = trans[candidate.transition];
     ++stats_.membership_checks;
-    std::vector<StateId> reach_storage;
-    const std::vector<StateId>* reach;
-    if (cached_) {
-      reach = &ReachStates(t.from, l - 1, candidate.prefix);
-    } else {
-      reach_storage = nfa_.ActiveStatesAfter(
-          Materialize(t.from, l - 1, candidate.prefix));
-      reach = &reach_storage;
-    }
+    const std::vector<StateId>& reach =
+        ReachStates(t.from, l - 1, candidate.prefix);
     uint32_t canonical = candidate.transition;
     for (uint32_t other_idx : g.transitions) {
       const Nfa::Transition& o = trans[other_idx];
-      if (std::binary_search(reach->begin(), reach->end(), o.from)) {
+      if (std::binary_search(reach.begin(), reach.end(), o.from)) {
         canonical = other_idx;
         break;
       }
@@ -304,10 +275,7 @@ class NfaCounter {
         total_estimate = total_estimate.Add(g.estimate);
         continue;
       }
-      // One drawer build per group, reused across the whole rejection loop
-      // (the legacy ablation path redoes the scan-and-scale work per draw;
-      // legacy and cached both consume one NextDouble per pick, so their
-      // draws are bit-identical; the alias mode is the fast tier).
+      // One drawer build per group, reused across the whole rejection loop.
       drawer_.Prepare(DrawMode(), g.weights, &stats_);
       const size_t max_attempts = config_.attempt_factor * pool_target_ + 64;
       size_t attempts = 0;
@@ -452,17 +420,10 @@ class NfaCounter {
     // the smallest accepting state reachable on the sampled string.
     auto AcceptsCanonically = [&](StateId q, uint32_t idx) {
       ++stats_.membership_checks;
-      std::vector<StateId> reach_storage;
-      const std::vector<StateId>* reach;
-      if (cached_) {
-        reach = &ReachStates(q, n_, idx);
-      } else {
-        reach_storage = nfa_.ActiveStatesAfter(Materialize(q, n_, idx));
-        reach = &reach_storage;
-      }
+      const std::vector<StateId>& reach = ReachStates(q, n_, idx);
       StateId canonical = q;
       for (StateId other : finals) {
-        if (std::binary_search(reach->begin(), reach->end(), other)) {
+        if (std::binary_search(reach.begin(), reach.end(), other)) {
           canonical = other;
           break;
         }
@@ -528,8 +489,7 @@ class NfaCounter {
   const size_t n_;
   const EstimatorConfig& config_;
   Rng rng_;
-  const bool fast_;    // batched fast kernels (kernel_mode = kFast)
-  const bool cached_;  // hot-path caches on (off = ablation baseline)
+  const bool fast_;  // batched fast kernels (kernel_mode = kFast)
   const CancelToken* cancel_;
   size_t pool_target_ = 0;
   CountStats stats_;
@@ -563,82 +523,18 @@ Result<CountEstimate> CountNfaStrings(const Nfa& nfa, size_t n,
   if (config.epsilon <= 0.0 || config.epsilon >= 1.0) {
     return Status::InvalidArgument("epsilon must be in (0, 1)");
   }
-  const size_t reps = std::max<size_t>(config.repetitions, 1);
   PQE_TRACE_SPAN_VAR(span, "count.nfa");
   span.AttrUint("states", nfa.NumStates());
   span.AttrUint("transitions", nfa.transitions().size());
   span.AttrUint("word_length", n);
-  span.AttrUint("repetitions", reps);
-  if (reps == 1) {
-    NfaCounter counter(nfa, n, config);
-    PQE_ASSIGN_OR_RETURN(CountEstimate est, counter.Run());
-    RecordCountRun("pqe.count_nfa", est.stats, !config.disable_hotpath_caches,
-                   config.kernel_mode, &span);
-    return est;
-  }
-  // Median-of-R amplification over independent seeds. Reps are independent
-  // (per-rep derived seed, per-rep counter), so they fan out over the shared
-  // pool; per-rep slots plus the fixed-order merge below keep the median and
-  // aggregate stats bit-identical across thread counts.
-  const size_t threads =
-      std::min(ThreadPool::ResolveNumThreads(config.num_threads), reps);
-  span.AttrUint("threads", threads);
-  // The CSR adjacency is a lazily-built mutable index; build it before the
-  // reps share the const Nfa across workers (docs/parallelism.md).
-  nfa.WarmAdjacency();
-  std::vector<CountEstimate> runs(reps);
-  std::vector<Status> rep_status(reps, Status::OK());
-  auto& rep_hist =
-      obs::MetricRegistry::Global().GetHistogram("pqe.count_nfa.rep_ns");
-  ParallelFor(threads, reps, [&](size_t r) {
-    // Spans only on the serial path (sessions are thread-local; parallel
-    // reps record timings via the atomic histogram instead).
-    std::optional<obs::ScopedSpan> rep_span;
-    if (threads == 1) {
-      rep_span.emplace("count.nfa.rep");
-      rep_span->AttrUint("rep", r);
-    }
-    const auto start = std::chrono::steady_clock::now();
-    EstimatorConfig rep_config = config;
-    rep_config.repetitions = 1;
-    rep_config.seed = Rng::DeriveSeed(config.seed, r);
-    NfaCounter counter(nfa, n, rep_config);
-    Result<CountEstimate> est = counter.Run();
-    if (!est.ok()) {
-      rep_status[r] = est.status();
-      return;
-    }
-    runs[r] = est.MoveValue();
-    rep_hist.Observe(static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - start)
-            .count()));
-  });
-  for (const Status& st : rep_status) PQE_RETURN_IF_ERROR(st);
-  CountStats aggregate;
-  for (const CountEstimate& est : runs) {
-    aggregate.strata_total = est.stats.strata_total;
-    aggregate.strata_live = est.stats.strata_live;
-    aggregate.pool_entries += est.stats.pool_entries;
-    aggregate.attempts += est.stats.attempts;
-    aggregate.accepted += est.stats.accepted;
-    aggregate.forced_samples += est.stats.forced_samples;
-    aggregate.membership_checks += est.stats.membership_checks;
-    aggregate.picker_builds += est.stats.picker_builds;
-    aggregate.alias_builds += est.stats.alias_builds;
-    aggregate.batch_draws += est.stats.batch_draws;
-    aggregate.runstates_memo_hits += est.stats.runstates_memo_hits;
-    aggregate.runstates_memo_misses += est.stats.runstates_memo_misses;
-  }
-  std::sort(runs.begin(), runs.end(),
-            [](const CountEstimate& a, const CountEstimate& b) {
-              return a.value < b.value;
-            });
-  CountEstimate out = runs[runs.size() / 2];
-  out.stats = aggregate;
-  RecordCountRun("pqe.count_nfa", out.stats, !config.disable_hotpath_caches,
-                 config.kernel_mode, &span);
-  return out;
+  return CountMedianOfR(
+      config, CounterNames{"count.nfa.rep", "pqe.count_nfa"}, &span,
+      // The CSR adjacency is a lazily-built mutable index; build it before
+      // the reps share the const Nfa across workers (docs/parallelism.md).
+      [&nfa] { nfa.WarmAdjacency(); },
+      [&](const EstimatorConfig& rep_config) {
+        return NfaCounter(nfa, n, rep_config).Run();
+      });
 }
 
 }  // namespace pqe

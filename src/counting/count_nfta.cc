@@ -1,21 +1,19 @@
 #include "counting/count_nfta.h"
 
 #include <algorithm>
-#include <chrono>
 #include <map>
 #include <memory>
-#include <optional>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "automata/tree.h"
+#include "counting/median_of_r.h"
 #include "counting/weighted_pick.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/check.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace pqe {
 
@@ -50,7 +48,6 @@ class NftaCounter {
         config_(config),
         rng_(config.seed),
         fast_(config.kernel_mode == KernelMode::kFast),
-        cached_(fast_ || !config.disable_hotpath_caches),
         cancel_(config.cancel) {}
 
   Result<CountEstimate> Run() {
@@ -347,18 +344,14 @@ class NftaCounter {
   void AllocateTables() {
     est_a_.resize(nfta_.NumStates());
     pool_a_.resize(nfta_.NumStates());
-    if (fast_) {
-      fast_memo_.resize(nfta_.NumStates());
-      child0_index_.resize(nfta_.AlphabetSize());
-      // One scratch row per possible recursion depth (a child stratum is
-      // strictly smaller, so depth < n); sized up front because the
-      // recursion holds references into these rows while it descends.
-      fast_out_scratch_.resize(n_ + 1);
-      fast_kids_scratch_.resize(n_ + 1);
-      fast_sets_scratch_.resize(n_ + 1);
-    } else if (cached_) {
-      root_memo_.resize(nfta_.NumStates());
-    }
+    root_memo_.resize(nfta_.NumStates());
+    child0_index_.resize(nfta_.AlphabetSize());
+    // One scratch row per possible recursion depth (a child stratum is
+    // strictly smaller, so depth < n); sized up front because the recursion
+    // holds references into these rows while it descends.
+    out_scratch_.resize(n_ + 1);
+    kids_scratch_.resize(n_ + 1);
+    sets_scratch_.resize(n_ + 1);
     est_f_.resize(nfta_.NumTransitions());
     pool_f_.resize(nfta_.NumTransitions());
     for (uint32_t tau = 0; tau < nfta_.NumTransitions(); ++tau) {
@@ -445,8 +438,7 @@ class NftaCounter {
   // The drawer mode every weighted pick in this counter routes through —
   // the single kernel-mode dispatch point.
   IndexDrawer::Mode DrawMode() const {
-    if (fast_) return IndexDrawer::Mode::kAlias;
-    return cached_ ? IndexDrawer::Mode::kCached : IndexDrawer::Mode::kLegacy;
+    return fast_ ? IndexDrawer::Mode::kAlias : IndexDrawer::Mode::kCached;
   }
 
   obs::Histogram& BatchSizeHist() {
@@ -537,10 +529,7 @@ class NftaCounter {
         total_estimate = total_estimate.Add(g.estimate);
         continue;
       }
-      // One drawer build per group, reused across the whole rejection loop
-      // (the legacy ablation path redoes the scan-and-scale work per draw;
-      // legacy and cached both consume one NextDouble per pick, so their
-      // draws are bit-identical; the alias mode is the fast tier).
+      // One drawer build per group, reused across the whole rejection loop.
       drawer_.Prepare(DrawMode(), g.weights, &stats_);
       const size_t target = pool_target_;
       const size_t max_attempts = config_.attempt_factor * target + 64;
@@ -711,75 +700,6 @@ class NftaCounter {
     }
   }
 
-  // Memoized run-state oracle: the sorted set of states from which the
-  // pooled tree pool_a_[q][s][idx] can be generated, computed recursively
-  // from the derivation references (shared subtrees are simulated once; the
-  // legacy path re-runs Nfta::RunStates over the whole materialized tree per
-  // check). Pools referenced by a sample live in strictly smaller, already
-  // finalized strata, so memo entries never invalidate within a run. Every
-  // run-state set contains the pool's own state q, so an empty vector
-  // doubles as the "uncomputed" sentinel. The per-node candidate enumeration
-  // mirrors Nfta::RunStates exactly (same dense index, same order).
-  const std::vector<StateId>& RootStates(StateId q, size_t s, uint32_t idx) {
-    auto& level = root_memo_[q][static_cast<uint32_t>(s)];
-    const auto& pool = TreePool(pool_a_[q], s);
-    if (level.size() < pool.size()) level.resize(pool.size());
-    if (!level[idx].empty()) {
-      ++stats_.runstates_memo_hits;
-      return level[idx];
-    }
-    ++stats_.runstates_memo_misses;
-    const Nfta::Transition* trans = nfta_.transitions().data();
-    const TreeSample& ref = pool[idx];
-    const Nfta::Transition& t = trans[ref.transition];
-    const size_t m = t.children.size();
-    std::vector<StateId> out;
-    if (m == 0) {
-      for (uint32_t tau2 : nfta_.LeafTransitions(t.symbol)) {
-        out.push_back(trans[tau2].from);
-      }
-    } else {
-      // Locals (not scratch members): RootStates recurses through children.
-      std::vector<ChildRef> kids;
-      ResolveForest(ref.transition, m, s - 1, ref.forest, &kids);
-      std::vector<const std::vector<StateId>*> sets(m);
-      for (size_t i = 0; i < m; ++i) {
-        // unordered_map references are stable under insertion, and the
-        // level vector of a (q, s) stratum is only resized on entry for
-        // that stratum — strictly-smaller recursive strata never alias it.
-        sets[i] = &RootStates(kids[i].state, kids[i].split, kids[i].tree);
-      }
-      for (StateId first_child_state : *sets[0]) {
-        for (uint32_t tau2 :
-             nfta_.TransitionsWithSymbolChild0(t.symbol, first_child_state)) {
-          const Nfta::Transition& cand = trans[tau2];
-          if (cand.children.size() != m) continue;
-          bool ok = true;
-          for (size_t i = 1; i < m && ok; ++i) {
-            ok = std::binary_search(sets[i]->begin(), sets[i]->end(),
-                                    cand.children[i]);
-          }
-          if (ok) out.push_back(cand.from);
-        }
-      }
-    }
-    std::sort(out.begin(), out.end());
-    out.erase(std::unique(out.begin(), out.end()), out.end());
-    level[idx] = std::move(out);
-    return level[idx];
-  }
-
-  // --- Fast-tier membership kernel ---------------------------------------
-  //
-  // The fast tier answers the same run-state queries as RootStates but over
-  // SoA storage: memoized sets live back to back in one contiguous StateId
-  // arena (per-slot offset/length instead of one heap vector per pooled
-  // sample), and the per-node candidate enumeration replaces the global
-  // (symbol, child0) binary search — ~log|Δ| cache-missing probes per
-  // active state — with an O(1) lookup into a per-symbol CSR index built
-  // lazily on first use. Results are identical to RootStates; only the
-  // constants change.
-
   // Arity-≥1 transitions carrying one symbol, CSR-grouped by first child
   // state (counting sort, so taus stay ascending within a child0 bucket).
   struct Child0Index {
@@ -818,11 +738,20 @@ class NftaCounter {
   static constexpr uint32_t kUnsetOff = 0xffffffffu;
   using SetRef = std::pair<uint32_t, uint32_t>;
 
-  // Fast-tier twin of RootStates: same memo keying, same recursion over the
-  // derivation refs, same resulting sorted set. `depth` indexes reusable
-  // scratch rows so the recursion allocates nothing in steady state.
-  SetRef FastRootStates(StateId q, size_t s, uint32_t idx, size_t depth) {
-    auto& level = fast_memo_[q][static_cast<uint32_t>(s)];
+  // Memoized run-state oracle: the sorted set of states from which the
+  // pooled tree pool_a_[q][s][idx] can be generated, computed recursively
+  // from the derivation references, so shared subtrees are simulated once
+  // and no tree is materialized. Pools referenced by a sample live in
+  // strictly smaller, already finalized strata, so memo entries never
+  // invalidate within a run. The sets live back to back in one contiguous
+  // StateId arena (per-slot offset/length, not one heap vector per pooled
+  // sample), and each node's candidate transitions come from an O(1)
+  // per-symbol child0 CSR index built lazily on first use. The result is
+  // the set Nfta::RunStates computes for the materialized tree. `depth`
+  // indexes reusable scratch rows so the recursion allocates nothing in
+  // steady state.
+  SetRef RootStates(StateId q, size_t s, uint32_t idx, size_t depth) {
+    auto& level = root_memo_[q][static_cast<uint32_t>(s)];
     const auto& pool = TreePool(pool_a_[q], s);
     if (level.off.size() < pool.size()) {
       level.off.resize(pool.size(), kUnsetOff);
@@ -837,20 +766,20 @@ class NftaCounter {
     const TreeSample& ref = pool[idx];
     const Nfta::Transition& t = trans[ref.transition];
     const size_t m = t.children.size();
-    std::vector<StateId>& out = fast_out_scratch_[depth];
+    std::vector<StateId>& out = out_scratch_[depth];
     out.clear();
     if (m == 0) {
       for (uint32_t tau2 : nfta_.LeafTransitions(t.symbol)) {
         out.push_back(trans[tau2].from);
       }
     } else {
-      std::vector<ChildRef>& kids = fast_kids_scratch_[depth];
+      std::vector<ChildRef>& kids = kids_scratch_[depth];
       ResolveForest(ref.transition, m, s - 1, ref.forest, &kids);
-      std::vector<SetRef>& sets = fast_sets_scratch_[depth];
+      std::vector<SetRef>& sets = sets_scratch_[depth];
       sets.resize(m);
       for (size_t i = 0; i < m; ++i) {
-        sets[i] = FastRootStates(kids[i].state, kids[i].split, kids[i].tree,
-                                 depth + 1);
+        sets[i] = RootStates(kids[i].state, kids[i].split, kids[i].tree,
+                             depth + 1);
       }
       const Child0Index& index = EnsureChild0Index(t.symbol);
       // Arena pointer taken after all recursion: appends are done.
@@ -884,18 +813,24 @@ class NftaCounter {
     return {off, level.len[idx]};
   }
 
-  uint32_t CanonicalTransitionFast(StateId q, size_t s,
-                                   const TreeSample& candidate) {
+  // The canonical generating transition for the tree denoted by `candidate`
+  // at stratum (q, s): the smallest-index τ' ∈ out(q) whose symbol and arity
+  // match and whose child states accept the respective subtrees (decided
+  // exactly by bottom-up simulation, memoized over the candidate's pooled
+  // child subtrees).
+  uint32_t CanonicalTransition(StateId q, size_t s,
+                               const TreeSample& candidate) {
+    ++stats_.membership_checks;
     const Nfta::Transition* trans = nfta_.transitions().data();
     const Nfta::Transition& t = trans[candidate.transition];
     const size_t m = t.children.size();
     ResolveForest(candidate.transition, m, s - 1, candidate.forest,
                   &child_scratch_);
-    fast_top_sets_.resize(m);
+    top_sets_.resize(m);
     for (size_t i = 0; i < m; ++i) {
-      fast_top_sets_[i] = FastRootStates(child_scratch_[i].state,
-                                         child_scratch_[i].split,
-                                         child_scratch_[i].tree, 0);
+      top_sets_[i] = RootStates(child_scratch_[i].state,
+                                child_scratch_[i].split,
+                                child_scratch_[i].tree, 0);
     }
     const StateId* arena = memo_arena_.data();
     for (uint32_t tau_idx : nfta_.OutTransitions(q)) {
@@ -903,76 +838,8 @@ class NftaCounter {
       if (cand.symbol != t.symbol || cand.children.size() != m) continue;
       bool ok = true;
       for (size_t i = 0; i < m && ok; ++i) {
-        const StateId* b = arena + fast_top_sets_[i].first;
-        ok = std::binary_search(b, b + fast_top_sets_[i].second,
-                                cand.children[i]);
-      }
-      if (ok) return tau_idx;
-    }
-    // The candidate itself always matches; unreachable.
-    PQE_CHECK(false);
-    return candidate.transition;
-  }
-
-  // The canonical generating transition for the tree denoted by `candidate`
-  // at stratum (q, s): the smallest-index τ' ∈ out(q) whose symbol and arity
-  // match and whose child states accept the respective subtrees (decided
-  // exactly by bottom-up simulation — memoized over the candidate's pooled
-  // child subtrees, or from scratch on the ablation path).
-  uint32_t CanonicalTransition(StateId q, size_t s,
-                               const TreeSample& candidate) {
-    ++stats_.membership_checks;
-    if (!cached_) return CanonicalTransitionLegacy(q, s, candidate);
-    if (fast_) return CanonicalTransitionFast(q, s, candidate);
-    const Nfta::Transition* trans = nfta_.transitions().data();
-    const Nfta::Transition& t = trans[candidate.transition];
-    const size_t m = t.children.size();
-    // The candidate's child subtrees are pooled samples of smaller strata;
-    // their run-state sets come from the memo. Scratch reused across draws
-    // (only the recursion inside RootStates needs locals).
-    ResolveForest(candidate.transition, m, s - 1, candidate.forest,
-                  &child_scratch_);
-    set_scratch_.resize(m);
-    for (size_t i = 0; i < m; ++i) {
-      set_scratch_[i] = &RootStates(child_scratch_[i].state,
-                                    child_scratch_[i].split,
-                                    child_scratch_[i].tree);
-    }
-    for (uint32_t tau_idx : nfta_.OutTransitions(q)) {
-      const Nfta::Transition& cand = trans[tau_idx];
-      if (cand.symbol != t.symbol || cand.children.size() != m) continue;
-      bool ok = true;
-      for (size_t i = 0; i < m && ok; ++i) {
-        ok = std::binary_search(set_scratch_[i]->begin(),
-                                set_scratch_[i]->end(), cand.children[i]);
-      }
-      if (ok) return tau_idx;
-    }
-    // The candidate itself always matches; unreachable.
-    PQE_CHECK(false);
-    return candidate.transition;
-  }
-
-  uint32_t CanonicalTransitionLegacy(StateId q, size_t s,
-                                     const TreeSample& candidate) {
-    LabeledTree tree = [&] {
-      const Nfta::Transition& t = nfta_.transition(candidate.transition);
-      LabeledTree out(t.symbol);
-      MaterializeForest(candidate.transition, t.children.size(), s - 1,
-                        candidate.forest, &out, out.root());
-      return out;
-    }();
-    const std::vector<std::vector<StateId>> run = nfta_.RunStates(tree);
-    const auto& kids = tree.children(tree.root());
-    const SymbolId label = tree.label(tree.root());
-    for (uint32_t tau_idx : nfta_.OutTransitions(q)) {
-      const Nfta::Transition& t = nfta_.transition(tau_idx);
-      if (t.symbol != label || t.children.size() != kids.size()) continue;
-      bool ok = true;
-      for (size_t i = 0; i < kids.size() && ok; ++i) {
-        const auto& child_states = run[kids[i]];
-        ok = std::binary_search(child_states.begin(), child_states.end(),
-                                t.children[i]);
+        const StateId* b = arena + top_sets_[i].first;
+        ok = std::binary_search(b, b + top_sets_[i].second, cand.children[i]);
       }
       if (ok) return tau_idx;
     }
@@ -1081,8 +948,7 @@ class NftaCounter {
   const size_t n_;
   const EstimatorConfig& config_;
   Rng rng_;
-  const bool fast_;    // batched fast kernels (kernel_mode = kFast)
-  const bool cached_;  // hot-path caches on (off = ablation baseline)
+  const bool fast_;  // batched fast kernels (kernel_mode = kFast)
   const CancelToken* cancel_;
   size_t pool_target_ = 0;
   CountStats stats_;
@@ -1090,30 +956,26 @@ class NftaCounter {
   // Hot-path scratch, reused across draws and strata.
   IndexDrawer drawer_;
   std::vector<ChildRef> child_scratch_;
-  std::vector<const std::vector<StateId>*> set_scratch_;
   // Fast-kernel SoA arenas, sized to one batch and reused across batches.
   std::vector<uint64_t> words_;        // raw block-RNG output
   std::vector<uint32_t> cand_tau_;     // candidate transition per attempt
   std::vector<uint32_t> cand_forest_;  // candidate forest index per attempt
   std::vector<uint8_t> cand_valid_;    // 0 = the forest pool was empty
   obs::Histogram* batch_hist_ = nullptr;  // lazy counting.batch_size_hist
-  // root_memo_[q]{s}[pool idx] -> sorted run-state set of the pooled tree.
-  std::vector<std::unordered_map<uint32_t, std::vector<std::vector<StateId>>>>
-      root_memo_;
-  // Fast-tier membership kernel state (see FastRootStates): the SoA memo —
-  // per-slot (offset, length) views into one shared arena — plus the lazy
+  // Membership oracle state (see RootStates): root_memo_[q]{s} holds per
+  // pool slot (offset, length) views into one shared arena; plus the lazy
   // per-symbol candidate indexes and the per-depth recursion scratch rows.
-  struct FastMemoLevel {
+  struct MemoLevel {
     std::vector<uint32_t> off;  // kUnsetOff = uncomputed
     std::vector<uint32_t> len;
   };
-  std::vector<std::unordered_map<uint32_t, FastMemoLevel>> fast_memo_;
+  std::vector<std::unordered_map<uint32_t, MemoLevel>> root_memo_;
   std::vector<StateId> memo_arena_;
   std::vector<std::unique_ptr<Child0Index>> child0_index_;  // [symbol]
-  std::vector<std::vector<StateId>> fast_out_scratch_;      // [depth]
-  std::vector<std::vector<ChildRef>> fast_kids_scratch_;    // [depth]
-  std::vector<std::vector<SetRef>> fast_sets_scratch_;      // [depth]
-  std::vector<SetRef> fast_top_sets_;
+  std::vector<std::vector<StateId>> out_scratch_;           // [depth]
+  std::vector<std::vector<ChildRef>> kids_scratch_;         // [depth]
+  std::vector<std::vector<SetRef>> sets_scratch_;           // [depth]
+  std::vector<SetRef> top_sets_;
   // Hoisted per-stratum pool sizes for the batched trial loops (see
   // kLeafPool); scratch reused across strata.
   std::vector<size_t> fast_fpool_sizes_;
@@ -1156,8 +1018,8 @@ Result<NftaSampleResult> CountAndSampleNftaTrees(
   NftaSampleResult out;
   PQE_ASSIGN_OR_RETURN(out.estimate, counter.Run());
   out.samples = counter.SampleAccepted(num_samples);
-  RecordCountRun("pqe.count_nfta", out.estimate.stats,
-                 !config.disable_hotpath_caches, config.kernel_mode, &span);
+  RecordCountRun("pqe.count_nfta", out.estimate.stats, config.kernel_mode,
+                 &span);
   return out;
 }
 
@@ -1166,86 +1028,19 @@ Result<CountEstimate> CountNftaTrees(const Nfta& nfta, size_t n,
   if (config.epsilon <= 0.0 || config.epsilon >= 1.0) {
     return Status::InvalidArgument("epsilon must be in (0, 1)");
   }
-  const size_t reps = std::max<size_t>(config.repetitions, 1);
   PQE_TRACE_SPAN_VAR(span, "count.nfta");
   span.AttrUint("states", nfta.NumStates());
   span.AttrUint("transitions", nfta.NumTransitions());
   span.AttrUint("tree_size", n);
-  span.AttrUint("repetitions", reps);
-  if (reps == 1) {
-    NftaCounter counter(nfta, n, config);
-    PQE_ASSIGN_OR_RETURN(CountEstimate est, counter.Run());
-    RecordCountRun("pqe.count_nfta", est.stats,
-                   !config.disable_hotpath_caches, config.kernel_mode, &span);
-    return est;
-  }
-  // Median-of-R amplification over independent seeds — the standard FPRAS
-  // confidence boost. Repetitions are independent (per-rep seed, per-rep
-  // counter state), so they fan out over the shared pool; each rep writes
-  // its own slot and the merge below runs in fixed rep order, keeping the
-  // median and the aggregate stats bit-identical across thread counts.
-  const size_t threads =
-      std::min(ThreadPool::ResolveNumThreads(config.num_threads), reps);
-  span.AttrUint("threads", threads);
-  // The membership oracle's lazy index must exist before the const automaton
-  // is shared across workers (building it mutates `mutable` members).
-  nfta.WarmRunIndex();
-  std::vector<CountEstimate> runs(reps);
-  std::vector<Status> rep_status(reps, Status::OK());
-  auto& rep_hist =
-      obs::MetricRegistry::Global().GetHistogram("pqe.count_nfta.rep_ns");
-  ParallelFor(threads, reps, [&](size_t r) {
-    // Per-rep spans only on the serial path: sessions are thread-local, so
-    // worker-run reps would attach nothing, and the caller-participating
-    // parallel path would trace a scheduling-dependent subset. Parallel
-    // runs record per-rep timings through the (atomic) histogram instead.
-    std::optional<obs::ScopedSpan> rep_span;
-    if (threads == 1) {
-      rep_span.emplace("count.nfta.rep");
-      rep_span->AttrUint("rep", r);
-    }
-    const auto start = std::chrono::steady_clock::now();
-    EstimatorConfig rep_config = config;
-    rep_config.repetitions = 1;
-    rep_config.seed = Rng::DeriveSeed(config.seed, r);
-    NftaCounter counter(nfta, n, rep_config);
-    Result<CountEstimate> est = counter.Run();
-    if (!est.ok()) {
-      rep_status[r] = est.status();
-      return;
-    }
-    if (rep_span) rep_span->AttrFloat("log2_value", est->value.Log2());
-    runs[r] = est.MoveValue();
-    rep_hist.Observe(static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - start)
-            .count()));
-  });
-  for (const Status& st : rep_status) PQE_RETURN_IF_ERROR(st);
-  CountStats aggregate;
-  for (const CountEstimate& est : runs) {
-    aggregate.strata_total = est.stats.strata_total;
-    aggregate.strata_live = est.stats.strata_live;
-    aggregate.pool_entries += est.stats.pool_entries;
-    aggregate.attempts += est.stats.attempts;
-    aggregate.accepted += est.stats.accepted;
-    aggregate.forced_samples += est.stats.forced_samples;
-    aggregate.membership_checks += est.stats.membership_checks;
-    aggregate.picker_builds += est.stats.picker_builds;
-    aggregate.alias_builds += est.stats.alias_builds;
-    aggregate.batch_draws += est.stats.batch_draws;
-    aggregate.runstates_memo_hits += est.stats.runstates_memo_hits;
-    aggregate.runstates_memo_misses += est.stats.runstates_memo_misses;
-  }
-  std::sort(runs.begin(), runs.end(),
-            [](const CountEstimate& a, const CountEstimate& b) {
-              return a.value < b.value;
-            });
-  CountEstimate out = runs[runs.size() / 2];
-  out.stats = aggregate;
-  RecordCountRun("pqe.count_nfta", out.stats,
-                 !config.disable_hotpath_caches, config.kernel_mode, &span);
-  return out;
+  return CountMedianOfR(
+      config, CounterNames{"count.nfta.rep", "pqe.count_nfta"}, &span,
+      // The membership oracle's lazy index must exist before the const
+      // automaton is shared across workers (building it mutates `mutable`
+      // members).
+      [&nfta] { nfta.WarmRunIndex(); },
+      [&](const EstimatorConfig& rep_config) {
+        return NftaCounter(nfta, n, rep_config).Run();
+      });
 }
 
 }  // namespace pqe

@@ -27,8 +27,9 @@ namespace pqe {
 /// samples compose without rejection. A-strata are overlapping unions over
 /// the out-transitions of q and use the Karp–Luby canonical-witness
 /// estimator; membership of a subtree in A(q', s') is decided exactly by
-/// bottom-up simulation (Nfta::RunStates). Samples are stored as O(1)
-/// derivation references and materialized on demand.
+/// bottom-up simulation (the run-state sets of Nfta::RunStates, memoized
+/// over pooled subtrees). Samples are stored as O(1) derivation references
+/// and materialized on demand.
 ///
 /// Fails with InvalidArgument if the automaton still has λ-transitions
 /// (call Nfta::EliminateLambda first).

@@ -150,13 +150,13 @@ size_t WeightedPicker::Pick(Rng* rng) const {
   PQE_CHECK(!cum_.empty());
   const double x = rng->NextDouble() * total_;
   // First index whose inclusive prefix sum exceeds x — the same index the
-  // legacy linear scan (`first i with x < acc`) returns.
+  // PickWeightedIndex linear scan (`first i with x < acc`) returns.
   const auto it = std::upper_bound(cum_.begin(), cum_.end(), x);
   if (it != cum_.end()) {
     return static_cast<size_t>(it - cum_.begin());
   }
   // Floating-point edge (x >= total despite NextDouble < 1): match the
-  // legacy fallback to the last index with non-zero weight.
+  // PickWeightedIndex fallback to the last index with non-zero weight.
   return last_nonzero_;
 }
 
@@ -228,18 +228,12 @@ Status AliasPicker::TryBuild(const std::vector<ExtFloat>& weights,
 void IndexDrawer::Prepare(Mode mode, const std::vector<ExtFloat>& weights,
                           CountStats* stats) {
   mode_ = mode;
-  weights_ = &weights;
-  switch (mode) {
-    case Mode::kCached:
-      picker_.Build(weights);
-      if (stats != nullptr) ++stats->picker_builds;
-      break;
-    case Mode::kAlias:
-      alias_.Build(weights);
-      if (stats != nullptr) ++stats->alias_builds;
-      break;
-    case Mode::kLegacy:
-      break;
+  if (mode == Mode::kAlias) {
+    alias_.Build(weights);
+    if (stats != nullptr) ++stats->alias_builds;
+  } else {
+    picker_.Build(weights);
+    if (stats != nullptr) ++stats->picker_builds;
   }
 }
 

@@ -64,7 +64,7 @@ class WeightedPicker {
   /// O(n − index) instead of a full table scan with exp2 per entry; when
   /// the maximum changed, falls back to a full TryBuild. Either way the
   /// resulting picker state is bit-identical to TryBuild over the updated
-  /// table, so draws stay draw-identical to the legacy path.
+  /// table, so draws stay draw-identical to PickWeightedIndex.
   Status UpdateWeight(const std::vector<ExtFloat>& weights, size_t index);
 
   size_t size() const { return cum_.size(); }
@@ -128,48 +128,33 @@ class AliasPicker {
 
 /// Per-table draw dispatcher owned by a counter's scratch state: Prepare()
 /// once per weight table, Draw() per sample. Every weighted draw in a
-/// counter routes through here, so the kernel-mode choice — legacy one-shot
-/// scan, cached cumulative picker, or O(1) alias table — lives in exactly
-/// one place per counter instead of at each call site.
+/// counter routes through here, so the kernel-mode choice — cumulative
+/// picker or O(1) alias table — lives in exactly one place per counter
+/// instead of at each call site.
 class IndexDrawer {
  public:
   enum class Mode : uint8_t {
-    kLegacy,  // per-draw PickWeightedIndex (disable_hotpath_caches)
-    kCached,  // WeightedPicker — draw-identical to kLegacy (exact tier)
+    kCached,  // WeightedPicker — draw-identical to PickWeightedIndex (exact)
     kAlias,   // AliasPicker — statistically equivalent (fast tier)
   };
 
-  /// Points the drawer at `weights` (which must outlive the draws and stay
-  /// unchanged). kCached/kAlias build their tables now, reusing capacity,
-  /// and bump `stats` (picker_builds / alias_builds) when non-null; kLegacy
-  /// just keeps the pointer and rescans per draw.
+  /// Builds the table for `weights` in `mode`, reusing capacity, and bumps
+  /// `stats` (picker_builds / alias_builds) when non-null.
   void Prepare(Mode mode, const std::vector<ExtFloat>& weights,
                CountStats* stats);
 
   /// Draws an index ~ the prepared weights, consuming exactly one
   /// NextDouble in every mode.
   size_t Draw(Rng* rng) const {
-    switch (mode_) {
-      case Mode::kCached:
-        return picker_.Pick(rng);
-      case Mode::kAlias:
-        return alias_.Pick(rng);
-      case Mode::kLegacy:
-        break;
-    }
-    return PickWeightedIndex(rng, *weights_);
+    return mode_ == Mode::kAlias ? alias_.Pick(rng) : picker_.Pick(rng);
   }
 
   /// Batched entry: maps a pre-generated uniform to an index. Valid only
   /// in kAlias mode (the fast kernels are the only block consumers).
   size_t DrawFromDouble(double u) const { return alias_.PickFromDouble(u); }
 
-  Mode mode() const { return mode_; }
-  size_t size() const { return weights_ == nullptr ? 0 : weights_->size(); }
-
  private:
-  Mode mode_ = Mode::kLegacy;
-  const std::vector<ExtFloat>* weights_ = nullptr;
+  Mode mode_ = Mode::kCached;
   WeightedPicker picker_;
   AliasPicker alias_;
 };

@@ -75,7 +75,9 @@ TEST(UrConstructionTest, DecompositionIsBinarizedAndComplete) {
 // The bijection property across query families and random databases.
 // ---------------------------------------------------------------------------
 
-enum class Family {
+// uint64_t-sized so UrCase has no padding: gtest names each case by the
+// struct's raw bytes, which must not include uninitialised ones.
+enum class Family : uint64_t {
   kPath2,
   kPath3,
   kStar3,

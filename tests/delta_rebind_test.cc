@@ -146,7 +146,9 @@ TEST(DeltaRebindTest, PathPatchMatchesFullBindAcrossDeltaMatrix) {
     EXPECT_EQ(delta->nfa.DebugString(), fresh->nfa.DebugString());
     EXPECT_EQ(delta->word_length, fresh->word_length);
     EXPECT_TRUE(delta->denominator == fresh->denominator);
-    if (kind == DeltaKind::kSingle) EXPECT_GT(patched, 0u);
+    if (kind == DeltaKind::kSingle) {
+      EXPECT_GT(patched, 0u);
+    }
   }
 
   // An empty delta patches nothing and reproduces the prior bind.
@@ -227,7 +229,9 @@ TEST(DeltaRebindTest, TreePatchMatchesFullBindAcrossDeltaMatrix) {
     EXPECT_EQ(delta->weighted.DebugString(), fresh->weighted.DebugString());
     EXPECT_EQ(delta->tree_size, fresh->tree_size);
     EXPECT_TRUE(delta->denominator == fresh->denominator);
-    if (kind == DeltaKind::kSingle) EXPECT_GT(patched, 0u);
+    if (kind == DeltaKind::kSingle) {
+      EXPECT_GT(patched, 0u);
+    }
   }
 }
 
