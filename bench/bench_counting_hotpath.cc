@@ -1,21 +1,17 @@
 // E11 — Counting-core hot path (docs/performance.md): wall-time of the full
-// PQE estimate pipeline in the two kernel tiers — the exact tier (reusable
-// WeightedPickers, scalar draws) and the batched fast tier (alias tables,
-// block RNG) — both over the shared memoized membership oracle and CSR
-// automata accessors, on the E4 data-scaling sweep and the E8 query-length
-// sweep, single-threaded.
+// PQE estimate pipeline (batched alias-table sampler over the memoized
+// membership oracle and CSR automata accessors) on the E4 data-scaling
+// sweep and the E8 query-length sweep, single-threaded.
 //
 //   bench_counting_hotpath [--smoke] [--metrics_out=BENCH_counting_hotpath.json]
 //
 // Each sweep cell is recorded as gauges
-// pqe.bench.counting_hotpath.<sweep>.<point>.{cached_ms,fast_ms,
-// fast_speedup}, plus memo hit/miss, picker-build, alias-build and
-// batch-draw counts from the exact/fast runs' stats. fast_speedup is the
-// fast tier against the exact tier (cached_ms / fast_ms). The largest
+// pqe.bench.counting_hotpath.<sweep>.<point>.ms, plus memo hit/miss,
+// alias-build and batch-draw counts from the run's stats. The largest
 // oracle-feasible E4 cell (width 3 — the exact subset DP blows its entry
 // budget beyond that) is checked against the exact oracle within the
-// configured ε band in both tiers. --smoke shrinks both sweeps to their two
-// smallest cells for CI.
+// configured ε band. --smoke shrinks both sweeps to their two smallest
+// cells for CI.
 
 #include <chrono>
 #include <cmath>
@@ -41,65 +37,35 @@ double MillisSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-struct CellResult {
-  double cached_ms = 0.0;              // exact tier
-  double fast_ms = 0.0;                // fast tier
-  double log2_probability = 0.0;       // exact tier
-  double fast_log2_probability = 0.0;  // fast tier (statistical only)
-};
-
-void RecordCell(const std::string& cell, const CellResult& r,
-                const CountStats& cached_stats,
-                const CountStats& fast_stats) {
-  const std::string prefix = "pqe.bench.counting_hotpath." + cell;
-  auto& reg = obs::MetricRegistry::Global();
-  reg.GetGauge(prefix + ".cached_ms").Set(r.cached_ms);
-  reg.GetGauge(prefix + ".fast_ms").Set(r.fast_ms);
-  reg.GetGauge(prefix + ".fast_speedup").Set(r.cached_ms / r.fast_ms);
-  reg.GetGauge(prefix + ".picker_builds")
-      .Set(static_cast<double>(cached_stats.picker_builds));
-  reg.GetGauge(prefix + ".alias_builds")
-      .Set(static_cast<double>(fast_stats.alias_builds));
-  reg.GetGauge(prefix + ".batch_draws")
-      .Set(static_cast<double>(fast_stats.batch_draws));
-  reg.GetGauge(prefix + ".memo_hits")
-      .Set(static_cast<double>(cached_stats.runstates_memo_hits));
-  reg.GetGauge(prefix + ".memo_misses")
-      .Set(static_cast<double>(cached_stats.runstates_memo_misses));
-}
-
-// Runs the estimate twice — the exact tier, then the batched fast kernels —
-// and reports both timings.
-CellResult MeasureCell(const std::string& cell, const ConjunctiveQuery& query,
-                       const ProbabilisticDatabase& pdb,
-                       const EstimatorConfig& base_cfg) {
-  CellResult out;
+// Runs and times one estimate, records the cell's gauges, and returns
+// log2 of the estimated probability.
+double MeasureCell(const std::string& cell, const ConjunctiveQuery& query,
+                   const ProbabilisticDatabase& pdb,
+                   const EstimatorConfig& base_cfg) {
   EstimatorConfig cfg = base_cfg;
   cfg.num_threads = 1;
+  const auto t0 = std::chrono::steady_clock::now();
+  auto est = PqeEstimate(query, pdb, cfg).MoveValue();
+  const double ms = MillisSince(t0);
+  PQE_CHECK(std::isfinite(est.log2_probability) ||
+            est.log2_probability == -std::numeric_limits<double>::infinity());
 
-  auto t0 = std::chrono::steady_clock::now();
-  auto cached = PqeEstimate(query, pdb, cfg).MoveValue();
-  out.cached_ms = MillisSince(t0);
-  out.log2_probability = cached.log2_probability;
-
-  // Fast tier: different draw stream (alias tables over block RNG words), so
-  // only statistical agreement is expected; the oracle cell gates accuracy.
-  cfg.kernel_mode = KernelMode::kFast;
-  t0 = std::chrono::steady_clock::now();
-  auto fast = PqeEstimate(query, pdb, cfg).MoveValue();
-  out.fast_ms = MillisSince(t0);
-  out.fast_log2_probability = fast.log2_probability;
-  PQE_CHECK(std::isfinite(fast.log2_probability) ||
-            fast.log2_probability == -std::numeric_limits<double>::infinity());
-
-  RecordCell(cell, out, cached.stats, fast.stats);
-  std::printf("  %-10s %-12.1f %-12.1f %-8.2f %-12.4f "
-              "hits=%zu misses=%zu batches=%zu\n",
-              cell.c_str(), out.cached_ms, out.fast_ms,
-              out.cached_ms / out.fast_ms, out.log2_probability,
-              cached.stats.runstates_memo_hits,
-              cached.stats.runstates_memo_misses, fast.stats.batch_draws);
-  return out;
+  const std::string prefix = "pqe.bench.counting_hotpath." + cell;
+  auto& reg = obs::MetricRegistry::Global();
+  reg.GetGauge(prefix + ".ms").Set(ms);
+  reg.GetGauge(prefix + ".alias_builds")
+      .Set(static_cast<double>(est.stats.alias_builds));
+  reg.GetGauge(prefix + ".batch_draws")
+      .Set(static_cast<double>(est.stats.batch_draws));
+  reg.GetGauge(prefix + ".memo_hits")
+      .Set(static_cast<double>(est.stats.runstates_memo_hits));
+  reg.GetGauge(prefix + ".memo_misses")
+      .Set(static_cast<double>(est.stats.runstates_memo_misses));
+  std::printf("  %-10s %-12.1f %-12.4f hits=%zu misses=%zu batches=%zu\n",
+              cell.c_str(), ms, est.log2_probability,
+              est.stats.runstates_memo_hits, est.stats.runstates_memo_misses,
+              est.stats.batch_draws);
+  return est.log2_probability;
 }
 
 // E4-style sweep: fixed path query (length 4), database width 2..max_width.
@@ -108,18 +74,16 @@ void SweepDataScaling(uint32_t max_width, size_t smoke_pool) {
   std::printf(
       "E4 sweep — path query length 4, layered width 2..%u, density 0.6\n",
       max_width);
-  std::printf("  %-10s %-12s %-12s %-8s %s\n", "cell", "cached_ms",
-              "fast_ms", "fast_spd", "log2(P)");
+  std::printf("  %-10s %-12s %s\n", "cell", "ms", "log2(P)");
   auto qi = MakePathQuery(4).MoveValue();
   EstimatorConfig cfg;
   cfg.epsilon = 0.25;
   cfg.seed = 11;
   cfg.pool_size = smoke_pool > 0 ? smoke_pool : 96;
   // Median-of-3: the FPRAS's own δ mechanism. One repetition leaves the
-  // oracle cell's ε gate at the mercy of a single draw stream (the fast
-  // kernel's per-run variance breaches ε on ~1/3 of seeds); the median
-  // concentrates both kernels inside the band. The fast_speedup ratio is
-  // unchanged — both tiers pay the same factor.
+  // oracle cell's ε gate at the mercy of a single draw stream (the per-run
+  // variance breaches ε on ~1/3 of seeds); the median concentrates the
+  // estimate inside the band.
   cfg.repetitions = 3;
   for (uint32_t width = 2; width <= max_width; ++width) {
     LayeredGraphOptions opt;
@@ -131,8 +95,8 @@ void SweepDataScaling(uint32_t max_width, size_t smoke_pool) {
     pm.max_denominator = 8;
     pm.seed = width + 2;
     ProbabilisticDatabase pdb = AttachProbabilities(std::move(db), pm);
-    const CellResult r = MeasureCell("e4.w" + std::to_string(width), qi.query,
-                                     pdb, cfg);
+    const double log2_p = MeasureCell("e4.w" + std::to_string(width),
+                                      qi.query, pdb, cfg);
     // Accuracy gate on the largest oracle-feasible cell: the (deterministic,
     // fixed-seed) estimate must sit inside the configured ε band around the
     // exact oracle. The oracle's subset DP is worst-case exponential and
@@ -143,7 +107,7 @@ void SweepDataScaling(uint32_t max_width, size_t smoke_pool) {
     if (width == kOracleWidth) {
       auto exact = PqeExactViaAutomaton(qi.query, pdb).MoveValue();
       const double exact_p = exact.ToDouble();
-      const double est_p = std::exp2(r.log2_probability);
+      const double est_p = std::exp2(log2_p);
       const double rel_err = std::abs(est_p / exact_p - 1.0);
       obs::MetricRegistry::Global()
           .GetGauge("pqe.bench.counting_hotpath.e4.rel_err")
@@ -152,17 +116,6 @@ void SweepDataScaling(uint32_t max_width, size_t smoke_pool) {
                   "(rel err %.4f, epsilon %.2f)\n",
                   width, est_p, exact_p, rel_err, cfg.epsilon);
       PQE_CHECK(rel_err <= cfg.epsilon);
-      // The fast tier draws a different stream but must meet the same
-      // accuracy guarantee against the exact oracle.
-      const double fast_p = std::exp2(r.fast_log2_probability);
-      const double fast_rel_err = std::abs(fast_p / exact_p - 1.0);
-      obs::MetricRegistry::Global()
-          .GetGauge("pqe.bench.counting_hotpath.e4.fast_rel_err")
-          .Set(fast_rel_err);
-      std::printf("  e4.w%u accuracy (fast): estimate %.6g vs exact %.6g "
-                  "(rel err %.4f, epsilon %.2f)\n",
-                  width, fast_p, exact_p, fast_rel_err, cfg.epsilon);
-      PQE_CHECK(fast_rel_err <= cfg.epsilon);
     }
   }
   std::printf("\n");
@@ -174,8 +127,7 @@ void SweepQueryScaling(uint32_t max_len, size_t smoke_pool) {
       "E8 sweep — path query length 2..%u, layered width 4, density 1.0, "
       "median-of-3\n",
       max_len);
-  std::printf("  %-10s %-12s %-12s %-8s %s\n", "cell", "cached_ms",
-              "fast_ms", "fast_spd", "log2(P)");
+  std::printf("  %-10s %-12s %s\n", "cell", "ms", "log2(P)");
   EstimatorConfig cfg;
   cfg.epsilon = 0.25;
   cfg.seed = 17;
@@ -209,8 +161,8 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
   }
   std::printf(
-      "E11 — counting-core hot path: exact vs fast tier (single thread)\n"
-      "================================================================\n\n"
+      "E11 — counting-core hot path (single thread)\n"
+      "============================================\n\n"
       "%s",
       smoke ? "smoke mode: two smallest cells per sweep\n\n" : "\n");
   // Smoke keeps the full run's per-stratum pool (96) for the E4 sweep: the

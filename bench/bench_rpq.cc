@@ -6,12 +6,12 @@
 //   linear  — a concatenation-only regex over E4 layered path data versus
 //             the directly-issued path query. The lowering routes both
 //             through the identical BuildPathPqeSkeleton/EstimatePathSkeleton
-//             tail, so the answers must be bit-identical — checked here in
-//             both kernel modes and at 1 and 4 threads.
+//             tail, so the answers must be bit-identical — checked here at
+//             1 and 4 threads.
 //   reach   — a reachability regex with star + alternation, a/(a|b)*/a, over
 //             a labelled knowledge graph: the product construction proper.
-//             Runs both kernel modes and checks the estimate against the
-//             exact string-counting oracle (RpqExact).
+//             Checks the estimate against the exact string-counting oracle
+//             (RpqExact).
 //   tworpq  — a 2RPQ (inverse label) on the same graph: inverse edges break
 //             the scan order, so the engine's kAuto cascade lands on the
 //             lineage route. The cell times the cascade and checks the
@@ -52,7 +52,7 @@ double MillisSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-PqeEngine::Options RpqOptions(KernelMode kernels, size_t threads) {
+PqeEngine::Options RpqOptions(size_t threads) {
   auto opts = PqeEngine::Options::Builder()
                   .Method(PqeMethod::kFpras)
                   .Epsilon(0.25)
@@ -60,7 +60,6 @@ PqeEngine::Options RpqOptions(KernelMode kernels, size_t threads) {
                   .PoolSize(48)
                   .Repetitions(1)
                   .NumThreads(threads)
-                  .Kernels(kernels)
                   .Build();
   PQE_CHECK(opts.ok());
   return *opts;
@@ -82,8 +81,7 @@ ProbabilisticDatabase MakeKgPdb(uint32_t layers, uint32_t width,
 
 // Concatenation-only regex == linear path query, bit for bit: the lowering
 // sends the RPQ through the same skeleton the path route builds, so the two
-// answers must share every bit in both kernel modes and across thread
-// counts.
+// answers must share every bit across thread counts.
 void LinearCell(uint32_t width, size_t rounds) {
   auto qi = MakePathQuery(4).MoveValue();
   LayeredGraphOptions gopt;
@@ -105,32 +103,29 @@ void LinearCell(uint32_t width, size_t rounds) {
 
   double rpq_ms = 0.0;
   double path_ms = 0.0;
-  for (KernelMode kernels : {KernelMode::kExact, KernelMode::kFast}) {
-    for (size_t threads : {size_t{1}, size_t{4}}) {
-      PqeEngine engine(RpqOptions(kernels, threads));
-      EvalResponse via_rpq;
-      EvalResponse via_path;
-      auto t0 = std::chrono::steady_clock::now();
-      for (size_t r = 0; r < rounds; ++r) {
-        EvalRequest req = EvalRequest::ForRpq(rq, pdb);
-        req.seed = Rng::DeriveSeed(0x11a3, r);
-        via_rpq = engine.EvaluateRequest(req);
-        PQE_CHECK(via_rpq.status.ok());
-      }
-      rpq_ms += MillisSince(t0);
-      t0 = std::chrono::steady_clock::now();
-      for (size_t r = 0; r < rounds; ++r) {
-        EvalRequest req = EvalRequest::ForQuery(qi.query, pdb);
-        req.seed = Rng::DeriveSeed(0x11a3, r);
-        via_path = engine.EvaluateRequest(req);
-        PQE_CHECK(via_path.status.ok());
-      }
-      path_ms += MillisSince(t0);
-      // The acceptance bit: memcmp, not ==, so -0.0/NaN drift would fail.
-      PQE_CHECK(std::memcmp(&via_rpq.answer.probability,
-                            &via_path.answer.probability,
-                            sizeof(double)) == 0);
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    PqeEngine engine(RpqOptions(threads));
+    EvalResponse via_rpq;
+    EvalResponse via_path;
+    auto t0 = std::chrono::steady_clock::now();
+    for (size_t r = 0; r < rounds; ++r) {
+      EvalRequest req = EvalRequest::ForRpq(rq, pdb);
+      req.seed = Rng::DeriveSeed(0x11a3, r);
+      via_rpq = engine.EvaluateRequest(req);
+      PQE_CHECK(via_rpq.status.ok());
     }
+    rpq_ms += MillisSince(t0);
+    t0 = std::chrono::steady_clock::now();
+    for (size_t r = 0; r < rounds; ++r) {
+      EvalRequest req = EvalRequest::ForQuery(qi.query, pdb);
+      req.seed = Rng::DeriveSeed(0x11a3, r);
+      via_path = engine.EvaluateRequest(req);
+      PQE_CHECK(via_path.status.ok());
+    }
+    path_ms += MillisSince(t0);
+    // The acceptance bit: memcmp, not ==, so -0.0/NaN drift would fail.
+    PQE_CHECK(std::memcmp(&via_rpq.answer.probability,
+                          &via_path.answer.probability, sizeof(double)) == 0);
   }
   auto& reg = obs::MetricRegistry::Global();
   const std::string prefix = "pqe.bench.rpq.linear.w" + std::to_string(width);
@@ -142,8 +137,8 @@ void LinearCell(uint32_t width, size_t rounds) {
               path_ms);
 }
 
-// Star + alternation over the labelled KG: the product construction, both
-// kernel modes, estimate checked against the exact string-counting oracle.
+// Star + alternation over the labelled KG: the product construction, the
+// estimate checked against the exact string-counting oracle.
 void ReachCell(uint32_t layers, uint32_t width, size_t rounds) {
   ProbabilisticDatabase pdb = MakeKgPdb(layers, width, 7);
   auto rq = rpq::RpqQuery::Parse("a/(a|b)*/a").MoveValue();
@@ -152,31 +147,25 @@ void ReachCell(uint32_t layers, uint32_t width, size_t rounds) {
 
   auto& reg = obs::MetricRegistry::Global();
   const std::string prefix = "pqe.bench.rpq.reach.kg";
-  for (KernelMode kernels : {KernelMode::kExact, KernelMode::kFast}) {
-    PqeEngine engine(RpqOptions(kernels, 1));
-    EvalResponse resp;
-    auto t0 = std::chrono::steady_clock::now();
-    for (size_t r = 0; r < rounds; ++r) {
-      EvalRequest req = EvalRequest::ForRpq(rq, pdb);
-      req.seed = Rng::DeriveSeed(0x2ea0, r);
-      resp = engine.EvaluateRequest(req);
-      PQE_CHECK(resp.status.ok());
-    }
-    const double ms = MillisSince(t0);
-    const double rel_err =
-        std::fabs(resp.answer.probability - exact) / exact;
-    // One fixed-seed run of an (ε=0.25, δ=1/4) estimator: deterministic,
-    // and this seed lands comfortably inside the accuracy band.
-    PQE_CHECK(rel_err <= 0.5);
-    const bool fast = kernels == KernelMode::kFast;
-    reg.GetGauge(prefix + (fast ? ".fast_ms" : ".exact_ms")).Set(ms);
-    reg.GetGauge(prefix + (fast ? ".fast_rel_err" : ".rel_err"))
-        .Set(rel_err);
-    std::printf(
-        "  %-10s %6zu rnd  %s %8.1f ms  p=%.6f exact=%.6f rel_err=%.3f\n",
-        "reach.kg", rounds, fast ? "fast " : "exact", ms,
-        resp.answer.probability, exact, rel_err);
+  PqeEngine engine(RpqOptions(1));
+  EvalResponse resp;
+  auto t0 = std::chrono::steady_clock::now();
+  for (size_t r = 0; r < rounds; ++r) {
+    EvalRequest req = EvalRequest::ForRpq(rq, pdb);
+    req.seed = Rng::DeriveSeed(0x2ea0, r);
+    resp = engine.EvaluateRequest(req);
+    PQE_CHECK(resp.status.ok());
   }
+  const double ms = MillisSince(t0);
+  const double rel_err = std::fabs(resp.answer.probability - exact) / exact;
+  // One fixed-seed run of an (ε=0.25, δ=1/4) estimator: deterministic,
+  // and this seed lands comfortably inside the accuracy band.
+  PQE_CHECK(rel_err <= 0.5);
+  reg.GetGauge(prefix + ".ms").Set(ms);
+  reg.GetGauge(prefix + ".rel_err").Set(rel_err);
+  std::printf("  %-10s %6zu rnd  %8.1f ms  p=%.6f exact=%.6f rel_err=%.3f\n",
+              "reach.kg", rounds, ms, resp.answer.probability, exact,
+              rel_err);
   reg.GetGauge(prefix + ".probability_exact").Set(exact);
 }
 
@@ -225,7 +214,7 @@ void ServeCell(uint32_t layers, uint32_t width, size_t requests,
                bool gate_speedup) {
   ProbabilisticDatabase pdb = MakeKgPdb(layers, width, 13);
   auto rq = rpq::RpqQuery::Parse("a/(a|b)*/a").MoveValue();
-  const PqeEngine::Options opts = RpqOptions(KernelMode::kExact, 1);
+  const PqeEngine::Options opts = RpqOptions(1);
 
   std::vector<EvalRequest> reqs;
   reqs.reserve(requests);

@@ -16,17 +16,16 @@
 //             bandwidth-bound — see MeasureTreeCell).
 //   service — PqeService::ApplyUpdate pushing single-fact, multi-fact, and
 //             degenerate (p -> 0, p -> 1) deltas through a resident
-//             prepared query, in BOTH sampling-kernel modes. Every
-//             delta-rebound answer is checked bit-identical (memcmp on the
-//             probability) to a cold engine evaluation of the updated
-//             database, and the captured workload — update events included
-//             — is replayed through a fresh service and must come back
-//             clean.
+//             prepared query. Every delta-rebound answer is checked
+//             bit-identical (memcmp on the probability) to a cold engine
+//             evaluation of the updated database, and the captured workload
+//             — update events included — is replayed through a fresh
+//             service and must come back clean.
 //
 // Gauges: pqe.bench.serving_updates.<cell>.{full_bind_us,delta_rebind_us,
 // speedup_delta_rebind,patched_slots} for the core cells (path, tree) and
-// pqe.bench.serving_updates.service.<kernel>.{updates,delta_rebinds,
-// full_rebinds,update_ms} for the service plane; --smoke shrinks trial
+// pqe.bench.serving_updates.service.{updates,delta_rebinds,full_rebinds,
+// update_ms} for the service plane; --smoke shrinks trial
 // counts for CI (cell shapes stay identical so bench_compare can gate the
 // smoke output against the committed baseline).
 
@@ -199,18 +198,17 @@ void MeasureTreeCell(size_t trials) {
              /*gate_floor=*/2.0);
 }
 
-std::string CaptureFilePath(const char* kernel) {
+std::string CaptureFilePath() {
   const char* tmpdir = std::getenv("TMPDIR");
   std::string dir = tmpdir != nullptr ? tmpdir : "/tmp";
-  return dir + "/pqe_bench_serving_updates_" + kernel + ".jsonl";
+  return dir + "/pqe_bench_serving_updates.jsonl";
 }
 
 // Service plane: a resident prepared query rides through single-fact,
 // multi-fact, and degenerate deltas via ApplyUpdate; every post-update
 // answer must be bit-identical to a cold evaluation of the updated
 // database, and the capture (updates included) must replay clean.
-void ServiceUpdateCell(KernelMode kernel) {
-  const char* kname = KernelModeToString(kernel);
+void ServiceUpdateCell() {
   auto qi = MakePathQuery(4).MoveValue();
   LayeredGraphOptions gopt;
   gopt.width = 3;
@@ -230,11 +228,10 @@ void ServiceUpdateCell(KernelMode kernel) {
                   .PoolSize(48)
                   .Repetitions(1)
                   .NumThreads(1)
-                  .Kernels(kernel)
                   .Build();
   PQE_CHECK(opts.ok());
 
-  const std::string capture_path = CaptureFilePath(kname);
+  const std::string capture_path = CaptureFilePath();
   std::remove(capture_path.c_str());
   serve::PqeService::Options sopt;
   sopt.engine = *opts;
@@ -304,8 +301,7 @@ void ServiceUpdateCell(KernelMode kernel) {
   PQE_CHECK(full_rebinds == 0);
 
   auto& reg = obs::MetricRegistry::Global();
-  const std::string prefix =
-      std::string("pqe.bench.serving_updates.service.") + kname;
+  const std::string prefix = "pqe.bench.serving_updates.service";
   reg.GetGauge(prefix + ".updates").Set(static_cast<double>(deltas.size()));
   reg.GetGauge(prefix + ".delta_rebinds")
       .Set(static_cast<double>(delta_rebinds));
@@ -313,9 +309,9 @@ void ServiceUpdateCell(KernelMode kernel) {
       .Set(static_cast<double>(full_rebinds));
   reg.GetGauge(prefix + ".update_ms").Set(update_ms);
   std::printf(
-      "  service[%s]: %zu updates in %.2f ms, delta_rebinds=%zu "
+      "  service: %zu updates in %.2f ms, delta_rebinds=%zu "
       "full_rebinds=%zu\n",
-      kname, deltas.size(), update_ms, delta_rebinds, full_rebinds);
+      deltas.size(), update_ms, delta_rebinds, full_rebinds);
 
   // Replay the capture — update events included — through a fresh service
   // from the PRE-update database: the segmented replay must re-apply every
@@ -327,7 +323,7 @@ void ServiceUpdateCell(KernelMode kernel) {
   serve::PqeService replay_service(ropt);
   auto report = serve::ReplayWorkload(replay_service, pdb0, *records);
   PQE_CHECK(report.ok());
-  std::printf("  service[%s]: replay %s\n", kname, report->Summary().c_str());
+  std::printf("  service: replay %s\n", report->Summary().c_str());
   for (const std::string& detail : report->mismatch_details) {
     std::printf("    %s\n", detail.c_str());
   }
@@ -359,11 +355,10 @@ int main(int argc, char** argv) {
   MeasurePathCell(trials);
   MeasureTreeCell(trials);
   std::printf("\n");
-  ServiceUpdateCell(KernelMode::kExact);
-  ServiceUpdateCell(KernelMode::kFast);
+  ServiceUpdateCell();
   std::printf(
       "\ndeterminism: every delta-rebound answer matched its cold twin bit "
-      "for bit (both kernel modes)\n");
+      "for bit\n");
   if (!metrics_out.empty()) {
     Status status = obs::WriteMetricsJsonFile(metrics_out);
     if (!status.ok()) {

@@ -5,7 +5,7 @@
 #
 #   ./ci.sh            # all configurations
 #   ./ci.sh tier1      # just the tier-1 verify
-#   ./ci.sh notrace    # just PQE_ENABLE_TRACING=OFF
+#   ./ci.sh notrace    # just PQE_ENABLE_TRACING=OFF (Release, -Werror)
 #   ./ci.sh sanitize   # just ASan/UBSan
 #   ./ci.sh tsan       # just ThreadSanitizer (PQE_THREADS=8)
 #   ./ci.sh serve_smoke # batch serving CLI under TSan (PQE_THREADS=8)
@@ -37,7 +37,10 @@ tier1() {
 }
 
 notrace() {
-  run_config "no-tracing" build-notrace -DPQE_ENABLE_TRACING=OFF
+  # Also the Release (-O3 -DNDEBUG) -Werror build: optimization-dependent
+  # warnings (e.g. -Wrestrict after inlining) only show up here.
+  run_config "no-tracing" build-notrace -DPQE_ENABLE_TRACING=OFF \
+    -DCMAKE_BUILD_TYPE=Release -DPQE_WERROR=ON
 }
 
 sanitize() {
@@ -167,10 +170,8 @@ import json, sys
 with open(sys.argv[1]) as f:
     doc = json.load(f)
 gauges = doc.get("metrics", doc).get("gauges", {})
-cells = [k for k in gauges if "counting_hotpath" in k and k.endswith(".cached_ms")]
-assert cells, "no counting_hotpath cached_ms gauges in metrics JSON"
-fast = [k for k in gauges if "counting_hotpath" in k and k.endswith(".fast_speedup")]
-assert fast, "no counting_hotpath fast_speedup gauges in metrics JSON (fast-kernels cell missing)"
+cells = [k for k in gauges if "counting_hotpath" in k and k.endswith(".ms")]
+assert cells, "no counting_hotpath .ms gauges in metrics JSON"
 with open(sys.argv[2]) as f:
     doc = json.load(f)
 gauges = doc.get("metrics", doc).get("gauges", {})
@@ -200,7 +201,7 @@ assert gauges.get("pqe.bench.rpq.linear.w3.parity", 0) == 1.0, \
     "rpq bench reported no lowering parity gauge"
 rpq = [k for k in gauges if "bench.rpq" in k and k.endswith(".speedup_warm")]
 assert rpq, "no rpq serving speedup gauges in metrics JSON"
-print(f"perf-smoke: {len(cells)} hotpath ({len(fast)} fast-kernel) + {len(serving)} serving + {len(updates)} update + {len(sharded)} sharded + {len(rpq)} rpq cells, JSON OK")
+print(f"perf-smoke: {len(cells)} hotpath + {len(serving)} serving + {len(updates)} update + {len(sharded)} sharded + {len(rpq)} rpq cells, JSON OK")
 EOF
   else
     grep -q "counting_hotpath" "${out}"
@@ -229,12 +230,15 @@ bench_gate() {
   local adv=""
   [[ "${PQE_BENCH_GATE_ADVISORY:-0}" != "0" ]] && adv="--advisory"
   echo "==== bench-gate: run smoke benches ===="
-  ./build/bench/bench_counting_hotpath --smoke \
-    --metrics_out=build/bench_gate_hotpath.json
+  # The hot-path bench has no speedup gauge (one sampler, one timed leg);
+  # it gates its oracle cell's accuracy internally, and its wall time is
+  # bounded by the repository benchmark's tree_cold/path_cold workloads
+  # (docs/performance.md).
+  ./build/bench/bench_counting_hotpath --smoke
   ./build/bench/bench_serving --smoke \
     --metrics_out=build/bench_gate_serving.json
   # The update bench gates itself too: >= 10x path delta rebind and
-  # bit-identity of every delta-rebound answer, in both kernel modes.
+  # bit-identity of every delta-rebound answer.
   ./build/bench/bench_serving_updates --smoke \
     --metrics_out=build/bench_gate_serving_updates.json
   # The replay bench is its own gate: it asserts every replayed answer
@@ -248,8 +252,6 @@ bench_gate() {
   # internally; its serving speedup is gated below.
   ./build/bench/bench_rpq --smoke --metrics_out=build/bench_gate_rpq.json
   echo "==== bench-gate: compare against committed baselines ===="
-  ./build/src/bench_compare --baseline BENCH_counting_hotpath.smoke.json \
-    --fresh build/bench_gate_hotpath.json ${adv}
   ./build/src/bench_compare --baseline BENCH_serving.json \
     --fresh build/bench_gate_serving.json ${adv}
   ./build/src/bench_compare --baseline BENCH_serving_updates.json \

@@ -17,6 +17,7 @@
 #include "pdb/probabilistic_database.h"
 #include "util/check.h"
 #include "util/rng.h"
+#include "util/str_cat.h"
 
 int main(int argc, char** argv) {
   using namespace pqe;
@@ -35,15 +36,13 @@ int main(int argc, char** argv) {
   ProbabilisticDatabase pdb = ProbabilisticDatabase::Uniform(std::move(db));
   Rng rng(1234);
   for (uint32_t hop = 0; hop < hops; ++hop) {
-    const std::string rel = "R" + std::to_string(hop + 1);
+    const std::string rel = StrCat("R", hop + 1);
     for (uint32_t a = 0; a < relays; ++a) {
       for (uint32_t b = 0; b < relays; ++b) {
         const uint64_t quality = 55 + rng.NextBounded(43);  // 55%..97%
         PQE_CHECK(pdb.AddFact(rel,
-                              {"t" + std::to_string(hop) + "_" +
-                                   std::to_string(a),
-                               "t" + std::to_string(hop + 1) + "_" +
-                                   std::to_string(b)},
+                              {StrCat("t", hop, "_", a),
+                               StrCat("t", hop + 1, "_", b)},
                               Probability{quality, 100})
                       .ok());
       }

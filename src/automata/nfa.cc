@@ -132,19 +132,6 @@ void Nfa::ActiveStep(const std::vector<StateId>& current, SymbolId symbol,
   next->erase(std::unique(next->begin(), next->end()), next->end());
 }
 
-std::vector<StateId> Nfa::ActiveStatesAfter(
-    const std::vector<SymbolId>& word) const {
-  std::vector<StateId> current = initial_;
-  std::sort(current.begin(), current.end());
-  std::vector<StateId> next;
-  for (SymbolId symbol : word) {
-    ActiveStep(current, symbol, &next);
-    std::swap(current, next);
-    if (current.empty()) break;
-  }
-  return current;
-}
-
 bool Nfa::Accepts(const std::vector<SymbolId>& word) const {
   std::vector<bool> states = StatesAfter(word);
   for (StateId s = 0; s < num_states_; ++s) {

@@ -81,13 +81,6 @@ class Nfa {
   /// by reading `word`, as a bitvector indexed by StateId.
   std::vector<bool> StatesAfter(const std::vector<SymbolId>& word) const;
 
-  /// Sparse subset simulation: the same reachable set as a sorted state
-  /// list. Cost tracks the active-set size times out-degree per step rather
-  /// than the automaton size — the membership oracle the counting estimator
-  /// leans on.
-  std::vector<StateId> ActiveStatesAfter(
-      const std::vector<SymbolId>& word) const;
-
   /// One step of the sparse subset simulation: the sorted successor set of
   /// the sorted state set `current` under `symbol`, written into `*next`
   /// (scratch-friendly: reuses next's capacity). Exposed for the counting

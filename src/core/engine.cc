@@ -20,6 +20,7 @@
 #include "rpq/product.h"
 #include "rpq/regex.h"
 #include "safeplan/safe_plan.h"
+#include "util/str_cat.h"
 
 namespace pqe {
 
@@ -39,9 +40,8 @@ std::string DiagnosticsPrefix(const PqeAnswer& answer) {
     case PqeMethod::kSafePlan:
       return "extensional safe plan (exact)";
     case PqeMethod::kEnumeration:
-      return "possible-world enumeration over 2^" +
-             std::to_string(answer.enumerated_facts.value_or(0)) +
-             " worlds (exact)";
+      return StrCat("possible-world enumeration over 2^",
+                    answer.enumerated_facts.value_or(0), " worlds (exact)");
     case PqeMethod::kFpras:
       // decomposition_width == 0 marks the Section 3 string specialization.
       if (answer.automaton.has_value() &&
@@ -54,18 +54,17 @@ std::string DiagnosticsPrefix(const PqeAnswer& answer) {
     case PqeMethod::kExactLineage: {
       std::string out = "decomposed model count over lineage:";
       if (answer.lineage.has_value()) {
-        out += " clauses=" + std::to_string(answer.lineage->clauses) +
-               " splits=" + std::to_string(answer.lineage->shannon_splits) +
-               "+" + std::to_string(answer.lineage->component_splits);
+        out += StrCat(" clauses=", answer.lineage->clauses,
+                      " splits=", answer.lineage->shannon_splits, "+",
+                      answer.lineage->component_splits);
       }
       return out + " (exact)";
     }
     case PqeMethod::kMonteCarlo: {
       std::string out = "naive Monte Carlo:";
       if (answer.monte_carlo.has_value()) {
-        out += " " + std::to_string(answer.monte_carlo->hits) + "/" +
-               std::to_string(answer.monte_carlo->samples) +
-               " worlds satisfied Q";
+        out += StrCat(" ", answer.monte_carlo->hits, "/",
+                      answer.monte_carlo->samples, " worlds satisfied Q");
       }
       return out;
     }
@@ -153,7 +152,6 @@ EstimatorConfig PqeEngine::MakeEstimatorConfig(const Options& options,
   cfg.max_pool_size = options.max_pool_size;
   cfg.repetitions = options.repetitions;
   cfg.num_threads = options.num_threads;
-  cfg.kernel_mode = options.kernel_mode;
   cfg.cancel = cancel;
   return cfg;
 }
@@ -171,11 +169,6 @@ EvalResponse PqeEngine::EvaluateRequest(const EvalRequest& request) const {
   if (request.collect_trace.has_value()) {
     opts.collect_trace = *request.collect_trace;
   }
-  if (request.kernels.has_value()) opts.kernel_mode = *request.kernels;
-  obs::MetricRegistry::Global()
-      .GetCounter(std::string("pqe.engine.kernel_mode.") +
-                  KernelModeToString(opts.kernel_mode))
-      .Increment();
 
   // The deadline token chains any external token, so the request aborts when
   // either expires; with no deadline the external token (if any) is polled
@@ -267,7 +260,6 @@ Result<PqeAnswer> PqeEngine::EvaluateQueryImpl(
     session.emplace("engine.evaluate");
     obs::SpanAttrUint("request_id", request_id);
     obs::SpanAttrText("method", PqeMethodToString(method));
-    obs::SpanAttrText("kernels", KernelModeToString(opts.kernel_mode));
     obs::SpanAttrUint("facts", pdb.NumFacts());
     obs::SpanAttrFloat("epsilon", opts.epsilon);
   }
@@ -324,7 +316,6 @@ Result<PqeAnswer> PqeEngine::EvaluateQueryImpl(
       cfg.epsilon = opts.epsilon;
       cfg.seed = opts.seed;
       cfg.num_threads = opts.num_threads;
-      cfg.kernel_mode = opts.kernel_mode;
       cfg.cancel = cancel;
       PQE_ASSIGN_OR_RETURN(KarpLubyResult r, KarpLubyPqe(query, pdb, cfg));
       out.probability = r.probability;
@@ -348,7 +339,6 @@ Result<PqeAnswer> PqeEngine::EvaluateQueryImpl(
       cfg.seed = opts.seed;
       cfg.num_samples = 20'000;
       cfg.num_threads = opts.num_threads;
-      cfg.kernel_mode = opts.kernel_mode;
       PQE_ASSIGN_OR_RETURN(MonteCarloResult r,
                            MonteCarloPqe(query, pdb, cfg));
       out.probability = r.probability;
@@ -373,7 +363,6 @@ Result<PqeAnswer> PqeEngine::EvaluateUnionImpl(
   if (opts.collect_trace) {
     session.emplace("engine.evaluate_union");
     obs::SpanAttrUint("request_id", request_id);
-    obs::SpanAttrText("kernels", KernelModeToString(opts.kernel_mode));
     obs::SpanAttrUint("facts", pdb.NumFacts());
     obs::SpanAttrUint("disjuncts", query.NumDisjuncts());
   }
@@ -421,7 +410,6 @@ Result<PqeAnswer> PqeEngine::EvaluateUnionImpl(
   cfg.epsilon = opts.epsilon;
   cfg.seed = opts.seed;
   cfg.num_threads = opts.num_threads;
-  cfg.kernel_mode = opts.kernel_mode;
   cfg.cancel = cancel;
   PQE_ASSIGN_OR_RETURN(KarpLubyResult r, KarpLubyUnionPqe(query, pdb, cfg));
   out.probability = r.probability;
@@ -453,7 +441,6 @@ Result<PqeAnswer> PqeEngine::EvaluateRpqImpl(
     session.emplace("engine.evaluate_rpq");
     obs::SpanAttrUint("request_id", request_id);
     obs::SpanAttrText("regex", query.Canonical());
-    obs::SpanAttrText("kernels", KernelModeToString(opts.kernel_mode));
     obs::SpanAttrUint("facts", pdb.NumFacts());
     obs::SpanAttrFloat("epsilon", opts.epsilon);
   }
@@ -555,7 +542,6 @@ Result<PqeAnswer> PqeEngine::EvaluateRpqImpl(
   cfg.epsilon = opts.epsilon;
   cfg.seed = opts.seed;
   cfg.num_threads = opts.num_threads;
-  cfg.kernel_mode = opts.kernel_mode;
   cfg.cancel = cancel;
   PQE_ASSIGN_OR_RETURN(KarpLubyResult r,
                        KarpLubyEstimate(lineage, pdb, cfg));

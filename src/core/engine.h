@@ -133,10 +133,6 @@ struct EvalRequest {
   std::optional<double> epsilon;
   std::optional<uint64_t> seed;
   std::optional<bool> collect_trace;
-  /// Sampling-kernel tier override (see counting/config.h). kExact keeps
-  /// the bit-identical golden path; kFast runs the batched alias-table
-  /// kernels.
-  std::optional<KernelMode> kernels;
 
   /// Caller-chosen identifier, echoed in the response. The serving layer
   /// derives per-request seeds from it (Rng::DeriveSeed) when `seed` is
@@ -224,13 +220,6 @@ class PqeEngine {
     /// Collect a structured RunTrace for each evaluation (PqeAnswer::trace).
     /// Off by default: tracing is cheap but not free, and answers stay lean.
     bool collect_trace = false;
-    /// Sampling-kernel tier forwarded to every sampling layer (counting
-    /// estimators, Karp–Luby, Monte Carlo). kExact (default) is the
-    /// bit-identical golden path; kFast trades bit-for-bit stability across
-    /// versions for batched alias-table kernels (statistically equivalent,
-    /// fixed-seed reproducible within a build). See docs/performance.md,
-    /// "Kernel modes".
-    KernelMode kernel_mode = KernelMode::kExact;
     /// Clause budget for the RPQ lineage fallback: regular path queries on
     /// instances that are not scan-orderable (src/rpq/product.h) route
     /// through the exact product-path lineage + Karp–Luby, capped at this
@@ -329,10 +318,6 @@ class PqeEngine::Options::Builder {
   }
   Builder& CollectTrace(bool collect) {
     opts_.collect_trace = collect;
-    return *this;
-  }
-  Builder& Kernels(KernelMode mode) {
-    opts_.kernel_mode = mode;
     return *this;
   }
   Builder& RpqClauseBudget(size_t budget) {

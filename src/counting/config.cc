@@ -9,30 +9,12 @@
 
 namespace pqe {
 
-const char* KernelModeToString(KernelMode mode) {
-  switch (mode) {
-    case KernelMode::kExact:
-      return "exact";
-    case KernelMode::kFast:
-      return "fast";
-  }
-  return "unknown";
-}
-
-Result<KernelMode> KernelModeFromString(std::string_view name) {
-  if (name == "exact") return KernelMode::kExact;
-  if (name == "fast") return KernelMode::kFast;
-  return Status::InvalidArgument("unknown kernel mode: '" + std::string(name) +
-                                 "' (expected exact|fast)");
-}
-
 void RecordCountRun(const char* prefix, const CountStats& stats,
-                    KernelMode kernel_mode, obs::ScopedSpan* span) {
+                    obs::ScopedSpan* span) {
   stats.ForEachField([&](const char* name, uint64_t value) {
     span->AttrUint(name, value);
   });
   span->AttrUint("canonical_rejections", stats.attempts - stats.accepted);
-  span->AttrText("kernels", KernelModeToString(kernel_mode));
   auto& metrics = obs::MetricRegistry::Global();
   metrics.GetCounter(std::string(prefix) + ".runs").Increment();
   stats.ForEachField([&](const char* name, uint64_t value) {
@@ -42,7 +24,6 @@ void RecordCountRun(const char* prefix, const CountStats& stats,
       .Observe(stats.strata_live);
   // Cross-counter hot-path counters (shared namespace so dashboards see one
   // series regardless of which counter — NFA, NFTA, Karp–Luby — ran).
-  metrics.GetCounter("counting.picker_builds").Add(stats.picker_builds);
   metrics.GetCounter("counting.alias_builds").Add(stats.alias_builds);
   metrics.GetCounter("counting.batch_draws").Add(stats.batch_draws);
   metrics.GetCounter("counting.runstates_memo_hits")

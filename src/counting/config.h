@@ -4,33 +4,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <string_view>
 
 #include "util/cancel.h"
 #include "util/extfloat.h"
-#include "util/result.h"
 
 namespace pqe {
-
-/// Sampling-kernel selection for the counting core and the lineage
-/// estimators (EstimatorConfig / KarpLubyConfig / MonteCarloConfig
-/// `kernel_mode`). The two-tier determinism contract
-/// (docs/performance.md "Kernel modes"):
-enum class KernelMode : uint8_t {
-  /// Scalar draws: rejection-sampled bounded picks, cumulative-table
-  /// pickers, one RNG word at a time. Bit-identical across thread counts
-  /// and versions — the golden path every capture/replay oracle runs on.
-  kExact = 0,
-  /// Batched SoA kernels: O(1) alias-table picks, block-generated RNG,
-  /// multiply-shift bounded draws over contiguous reusable arenas.
-  /// Statistically equivalent to kExact (χ²- and exact-oracle-gated in
-  /// fast_kernels_test) and fixed-seed reproducible within a build, but
-  /// not bit-identical to kExact or across versions.
-  kFast = 1,
-};
-
-const char* KernelModeToString(KernelMode mode);
-Result<KernelMode> KernelModeFromString(std::string_view name);
 
 /// Tuning knobs for the CountNFA / CountNFTA estimators.
 ///
@@ -73,11 +51,6 @@ struct EstimatorConfig {
   /// every (state, size) stratum with a non-empty language is processed,
   /// even those that cannot occur inside an accepted object of size n.
   bool disable_backward_pruning = false;
-  /// Sampling-kernel tier (see KernelMode). It selects only what changes
-  /// answer bits: how weighted picks are drawn (cumulative table vs alias
-  /// table) and how RNG words are consumed (one at a time vs in blocks).
-  /// Both tiers share one membership oracle per counter.
-  KernelMode kernel_mode = KernelMode::kExact;
   /// Cooperative cancellation (optional, not owned; must outlive the run).
   /// The counters poll the token once per processed stratum and every few
   /// hundred rejection attempts; when it expires they abort with
@@ -104,7 +77,6 @@ struct EstimatorConfig {
   X(accepted)                     \
   X(forced_samples)               \
   X(membership_checks)            \
-  X(picker_builds)                \
   X(alias_builds)                 \
   X(batch_draws)                  \
   X(runstates_memo_hits)          \
@@ -119,9 +91,8 @@ struct CountStats {
   size_t accepted = 0;          // accepted (canonical) samples
   size_t forced_samples = 0;    // zero-accept fallbacks (should be rare)
   size_t membership_checks = 0; // exact membership oracle invocations
-  size_t picker_builds = 0;     // WeightedPicker cumulative-table builds
-  size_t alias_builds = 0;      // AliasPicker table builds (fast kernels)
-  size_t batch_draws = 0;       // block-RNG batches drawn (fast kernels)
+  size_t alias_builds = 0;      // AliasPicker table builds
+  size_t batch_draws = 0;       // block-RNG batches drawn
   size_t runstates_memo_hits = 0;    // membership answered from the memo
   size_t runstates_memo_misses = 0;  // membership computed and memoized
 
@@ -168,14 +139,13 @@ class ScopedSpan;
 }  // namespace obs
 
 /// Observability hook shared by CountNFA/CountNFTA: attaches every
-/// CountStats field (plus the derived canonical_rejections and the
-/// `kernels` = "exact"/"fast" tier) to `span` and folds the run into the
-/// global metric registry under `prefix` (e.g. "pqe.count_nfta"), plus the
-/// cross-counter `counting.picker_builds` / `counting.alias_builds` /
+/// CountStats field (plus the derived canonical_rejections) to `span` and
+/// folds the run into the global metric registry under `prefix` (e.g.
+/// "pqe.count_nfta"), plus the cross-counter `counting.alias_builds` /
 /// `counting.batch_draws` / `counting.runstates_memo_{hits,misses}`
 /// hot-path counters. One call per counter run, not per sample.
 void RecordCountRun(const char* prefix, const CountStats& stats,
-                    KernelMode kernel_mode, obs::ScopedSpan* span);
+                    obs::ScopedSpan* span);
 
 }  // namespace pqe
 

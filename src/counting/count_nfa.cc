@@ -15,9 +15,9 @@ namespace pqe {
 
 namespace {
 
-// Attempts drawn per block-RNG batch in the fast kernels: 2 raw words per
-// attempt (one for the weighted pick, one for the prefix index), so a batch
-// is a 4 KiB buffer — resident in L1 while the acceptance pass runs.
+// Attempts drawn per block-RNG batch: 2 raw words per attempt (one for the
+// weighted pick, one for the prefix index), so a batch is a 4 KiB buffer —
+// resident in L1 while the acceptance pass runs.
 constexpr size_t kDrawBatch = 256;
 
 // A pooled sample of A(q, l), stored as a derivation reference: the incoming
@@ -36,7 +36,6 @@ class NfaCounter {
         n_(n),
         config_(config),
         rng_(config.seed),
-        fast_(config.kernel_mode == KernelMode::kFast),
         cancel_(config.cancel) {}
 
   Result<CountEstimate> Run() {
@@ -174,10 +173,10 @@ class NfaCounter {
     std::vector<SampleRef> accepted;
   };
 
-  // The drawer mode every weighted pick in this counter routes through —
-  // the single kernel-mode dispatch point.
-  IndexDrawer::Mode DrawMode() const {
-    return fast_ ? IndexDrawer::Mode::kAlias : IndexDrawer::Mode::kCached;
+  // Builds the alias table the next draw loop picks from, reusing capacity.
+  void BuildPicker(const std::vector<ExtFloat>& weights) {
+    picker_.Build(weights);
+    ++stats_.alias_builds;
   }
 
   // Canonical check: the chosen transition must be the first (by transition
@@ -201,11 +200,10 @@ class NfaCounter {
     return canonical == candidate.transition;
   }
 
-  // Fast-kernel batch: fills the SoA candidate arenas with `batch` draws —
+  // Batched draw: fills the SoA candidate arenas with `batch` draws —
   // one alias pick plus one multiply-shift prefix index each — from a single
   // contiguous block of raw RNG words. cand_valid_[i] is 0 when the picked
-  // transition's predecessor pool is empty (still counted as an attempt,
-  // matching the scalar loop's `continue`).
+  // transition's predecessor pool is empty (still counted as an attempt).
   void DrawCandidateBatch(const std::vector<uint32_t>& transitions,
                           size_t batch, size_t l) {
     const Nfa::Transition* trans = nfa_.transitions().data();
@@ -218,7 +216,7 @@ class NfaCounter {
     cand_valid_.assign(batch, 0);
     for (size_t i = 0; i < batch; ++i) {
       const size_t pick =
-          drawer_.DrawFromDouble(Rng::DoubleFromWord(words_[2 * i]));
+          picker_.PickFromDouble(Rng::DoubleFromWord(words_[2 * i]));
       const uint32_t trans_idx = transitions[pick];
       const auto& prev_pool = pools_[l - 1][trans[trans_idx].from];
       if (prev_pool.empty()) continue;
@@ -257,6 +255,8 @@ class NfaCounter {
     }
     if (groups.empty()) return;  // estimate stays 0
 
+    // Draws one candidate for the forced-sample fallback; false when the
+    // predecessor pool is empty.
     auto DrawRef = [&](uint32_t trans_idx, SampleRef* out) {
       const Nfa::Transition& t = trans[trans_idx];
       const auto& prev_pool = pools_[l - 1][t.from];
@@ -275,36 +275,25 @@ class NfaCounter {
         total_estimate = total_estimate.Add(g.estimate);
         continue;
       }
-      // One drawer build per group, reused across the whole rejection loop.
-      drawer_.Prepare(DrawMode(), g.weights, &stats_);
+      // One picker build per group, reused across the whole rejection loop.
+      BuildPicker(g.weights);
       const size_t max_attempts = config_.attempt_factor * pool_target_ + 64;
       size_t attempts = 0;
-      if (fast_) {
-        // Batched SoA kernel: draw a block of candidates at once, then run
-        // the acceptance pass over the contiguous arenas. The whole batch
-        // counts as attempts even when the pool target is crossed mid-batch
-        // — the extra canonical hits just enrich the resample pool, and
-        // accepted/attempts stays a per-attempt acceptance-rate estimate.
-        while (g.accepted.size() < pool_target_ && attempts < max_attempts) {
-          if (Cancelled()) break;
-          const size_t batch = std::min(kDrawBatch, max_attempts - attempts);
-          DrawCandidateBatch(g.transitions, batch, l);
-          for (size_t i = 0; i < batch; ++i) {
-            if (cand_valid_[i] == 0) continue;
-            const SampleRef candidate{cand_trans_[i], cand_prefix_[i]};
-            if (IsCanonical(g, candidate, l)) g.accepted.push_back(candidate);
-          }
-          attempts += batch;
-        }
-      } else {
-        while (g.accepted.size() < pool_target_ && attempts < max_attempts) {
-          ++attempts;
-          if ((attempts & 255u) == 0 && Cancelled()) break;
-          const size_t pick = drawer_.Draw(&rng_);
-          SampleRef candidate;
-          if (!DrawRef(g.transitions[pick], &candidate)) continue;
+      // Batched SoA kernel: draw a block of candidates at once, then run
+      // the acceptance pass over the contiguous arenas. The whole batch
+      // counts as attempts even when the pool target is crossed mid-batch
+      // — the extra canonical hits just enrich the resample pool, and
+      // accepted/attempts stays a per-attempt acceptance-rate estimate.
+      while (g.accepted.size() < pool_target_ && attempts < max_attempts) {
+        if (Cancelled()) break;
+        const size_t batch = std::min(kDrawBatch, max_attempts - attempts);
+        DrawCandidateBatch(g.transitions, batch, l);
+        for (size_t i = 0; i < batch; ++i) {
+          if (cand_valid_[i] == 0) continue;
+          const SampleRef candidate{cand_trans_[i], cand_prefix_[i]};
           if (IsCanonical(g, candidate, l)) g.accepted.push_back(candidate);
         }
+        attempts += batch;
       }
       stats_.attempts += attempts;
       stats_.accepted += g.accepted.size();
@@ -313,7 +302,7 @@ class NfaCounter {
         // is >= 1/|group|); force one biased sample so a live stratum never
         // reports a false zero.
         ++stats_.forced_samples;
-        const size_t pick = drawer_.Draw(&rng_);
+        const size_t pick = picker_.Pick(&rng_);
         SampleRef forced;
         if (DrawRef(g.transitions[pick], &forced)) {
           g.accepted.push_back(forced);
@@ -340,55 +329,39 @@ class NfaCounter {
       group_list.push_back(&g);
       group_weights.push_back(g.estimate);
     }
-    if (group_list.size() > 1) {
-      drawer_.Prepare(DrawMode(), group_weights, &stats_);
-    }
+    if (group_list.size() > 1) BuildPicker(group_weights);
     auto& pool = pools_[l][q];
     pool.reserve(pool_target_);
-    if (fast_) {
-      // Batched mixture: one word for the group pick, one for the index
-      // within the group (fresh prefix for singleton groups, canonical-hit
-      // resample otherwise), drawn block-at-a-time.
-      for (size_t done = 0; done < pool_target_;) {
-        const size_t batch = std::min(kDrawBatch, pool_target_ - done);
-        words_.resize(2 * batch);
-        rng_.FillBlock(words_.data(), 2 * batch);
-        ++stats_.batch_draws;
-        BatchSizeHist().Observe(batch);
-        for (size_t i = 0; i < batch; ++i) {
-          const Group& g =
-              group_list.size() == 1
-                  ? *group_list[0]
-                  : *group_list[drawer_.DrawFromDouble(
-                        Rng::DoubleFromWord(words_[2 * i]))];
-          const uint64_t word = words_[2 * i + 1];
-          if (g.transitions.size() == 1) {
-            const auto& prev_pool =
-                pools_[l - 1][trans[g.transitions[0]].from];
-            if (prev_pool.empty()) continue;
-            pool.push_back(SampleRef{
-                g.transitions[0],
-                static_cast<uint32_t>(
-                    Rng::BoundedFromWord(word, prev_pool.size()))});
-          } else if (!g.accepted.empty()) {
-            pool.push_back(g.accepted[Rng::BoundedFromWord(
-                word, g.accepted.size())]);
-          }
-        }
-        done += batch;
-      }
-    } else {
-      for (size_t i = 0; i < pool_target_; ++i) {
-        const Group& g = group_list.size() == 1
-                             ? *group_list[0]
-                             : *group_list[drawer_.Draw(&rng_)];
+    // Batched mixture: one word for the group pick, one for the index
+    // within the group (fresh prefix for singleton groups, canonical-hit
+    // resample otherwise), drawn block-at-a-time.
+    for (size_t done = 0; done < pool_target_;) {
+      const size_t batch = std::min(kDrawBatch, pool_target_ - done);
+      words_.resize(2 * batch);
+      rng_.FillBlock(words_.data(), 2 * batch);
+      ++stats_.batch_draws;
+      BatchSizeHist().Observe(batch);
+      for (size_t i = 0; i < batch; ++i) {
+        const Group& g =
+            group_list.size() == 1
+                ? *group_list[0]
+                : *group_list[picker_.PickFromDouble(
+                      Rng::DoubleFromWord(words_[2 * i]))];
+        const uint64_t word = words_[2 * i + 1];
         if (g.transitions.size() == 1) {
-          SampleRef sample;
-          if (DrawRef(g.transitions[0], &sample)) pool.push_back(sample);
+          const auto& prev_pool =
+              pools_[l - 1][trans[g.transitions[0]].from];
+          if (prev_pool.empty()) continue;
+          pool.push_back(SampleRef{
+              g.transitions[0],
+              static_cast<uint32_t>(
+                  Rng::BoundedFromWord(word, prev_pool.size()))});
         } else if (!g.accepted.empty()) {
-          pool.push_back(g.accepted[rng_.NextBounded(g.accepted.size())]);
+          pool.push_back(g.accepted[Rng::BoundedFromWord(
+              word, g.accepted.size())]);
         }
       }
+      done += batch;
     }
     stats_.pool_entries += pool.size();
   }
@@ -415,7 +388,7 @@ class NfaCounter {
     const size_t max_attempts = config_.attempt_factor * target + 64;
     size_t attempts = 0;
     size_t accepted = 0;
-    drawer_.Prepare(DrawMode(), weights, &stats_);
+    BuildPicker(weights);
     // Canonical check for one (accepting state, pool index) draw: q must be
     // the smallest accepting state reachable on the sampled string.
     auto AcceptsCanonically = [&](StateId q, uint32_t idx) {
@@ -430,38 +403,24 @@ class NfaCounter {
       }
       return canonical == q;
     };
-    if (fast_) {
-      while (attempts < max_attempts && accepted < target) {
-        if (Cancelled()) break;
-        const size_t batch = std::min(kDrawBatch, max_attempts - attempts);
-        words_.resize(2 * batch);
-        rng_.FillBlock(words_.data(), 2 * batch);
-        ++stats_.batch_draws;
-        BatchSizeHist().Observe(batch);
-        for (size_t i = 0; i < batch; ++i) {
-          const size_t pick =
-              drawer_.DrawFromDouble(Rng::DoubleFromWord(words_[2 * i]));
-          const StateId q = finals[pick];
-          const auto& pool = pools_[n_][q];
-          if (pool.empty()) continue;
-          const uint32_t idx = static_cast<uint32_t>(
-              Rng::BoundedFromWord(words_[2 * i + 1], pool.size()));
-          if (AcceptsCanonically(q, idx)) ++accepted;
-        }
-        attempts += batch;
-      }
-    } else {
-      while (attempts < max_attempts && accepted < target) {
-        ++attempts;
-        if ((attempts & 255u) == 0 && Cancelled()) break;
-        const size_t pick = drawer_.Draw(&rng_);
+    while (attempts < max_attempts && accepted < target) {
+      if (Cancelled()) break;
+      const size_t batch = std::min(kDrawBatch, max_attempts - attempts);
+      words_.resize(2 * batch);
+      rng_.FillBlock(words_.data(), 2 * batch);
+      ++stats_.batch_draws;
+      BatchSizeHist().Observe(batch);
+      for (size_t i = 0; i < batch; ++i) {
+        const size_t pick =
+            picker_.PickFromDouble(Rng::DoubleFromWord(words_[2 * i]));
         const StateId q = finals[pick];
         const auto& pool = pools_[n_][q];
         if (pool.empty()) continue;
-        const uint32_t idx =
-            static_cast<uint32_t>(rng_.NextBounded(pool.size()));
+        const uint32_t idx = static_cast<uint32_t>(
+            Rng::BoundedFromWord(words_[2 * i + 1], pool.size()));
         if (AcceptsCanonically(q, idx)) ++accepted;
       }
+      attempts += batch;
     }
     stats_.attempts += attempts;
     stats_.accepted += accepted;
@@ -489,7 +448,6 @@ class NfaCounter {
   const size_t n_;
   const EstimatorConfig& config_;
   Rng rng_;
-  const bool fast_;  // batched fast kernels (kernel_mode = kFast)
   const CancelToken* cancel_;
   size_t pool_target_ = 0;
   CountStats stats_;
@@ -504,11 +462,11 @@ class NfaCounter {
     StateId q;
     uint32_t idx;
   };
-  IndexDrawer drawer_;
+  AliasPicker picker_;
   std::vector<MemoLevel> reach_memo_;  // [l][q][pool idx] -> sorted states
   std::vector<ChainLink> chain_;
   std::vector<StateId> step_scratch_;
-  // Fast-kernel SoA arenas, sized to one batch and reused across batches.
+  // SoA arenas, sized to one batch and reused across batches.
   std::vector<uint64_t> words_;       // raw block-RNG output
   std::vector<uint32_t> cand_trans_;  // candidate transition per attempt
   std::vector<uint32_t> cand_prefix_; // candidate prefix index per attempt

@@ -19,9 +19,9 @@ namespace pqe {
 
 namespace {
 
-// Attempts drawn per block-RNG batch in the fast kernels (see the NFA twin
-// in count_nfa.cc): 2–3 raw words per attempt, so a batch stays L1-resident
-// while the acceptance pass runs over it.
+// Attempts drawn per block-RNG batch (as in count_nfa.cc): 2–3 raw words per
+// attempt, so a batch stays L1-resident while the acceptance pass runs over
+// it.
 constexpr size_t kDrawBatch = 256;
 
 // Derivation reference for a pooled tree sample of A(q, s): the transition
@@ -47,7 +47,6 @@ class NftaCounter {
         n_(n),
         config_(config),
         rng_(config.seed),
-        fast_(config.kernel_mode == KernelMode::kFast),
         cancel_(config.cancel) {}
 
   Result<CountEstimate> Run() {
@@ -435,10 +434,10 @@ class NftaCounter {
     std::vector<TreeSample> accepted;  // only for multi-τ groups
   };
 
-  // The drawer mode every weighted pick in this counter routes through —
-  // the single kernel-mode dispatch point.
-  IndexDrawer::Mode DrawMode() const {
-    return fast_ ? IndexDrawer::Mode::kAlias : IndexDrawer::Mode::kCached;
+  // Builds the alias table the next draw loop picks from, reusing capacity.
+  void BuildPicker(const std::vector<ExtFloat>& weights) {
+    picker_.Build(weights);
+    ++stats_.alias_builds;
   }
 
   obs::Histogram& BatchSizeHist() {
@@ -453,14 +452,14 @@ class NftaCounter {
   // so no forest index is drawn (as opposed to 0, an empty pool).
   static constexpr size_t kLeafPool = static_cast<size_t>(-1);
 
-  // Fast-kernel batch for the tree-stratum rejection loop: fills the SoA
+  // Batched draw for the tree-stratum rejection loop: fills the SoA
   // candidate arenas with `batch` draws — one alias pick over the group's
   // transitions plus one multiply-shift forest index each — from a single
   // contiguous block of raw RNG words. cand_valid_[i] is 0 when the picked
-  // transition's forest pool is empty (still counted as an attempt,
-  // matching the scalar loop's `continue`). `fpool_sizes` is the hoisted
-  // per-transition forest-pool size (the pools live in smaller, finalized
-  // strata, so one lookup per group replaces one per trial).
+  // transition's forest pool is empty (still counted as an attempt).
+  // `fpool_sizes` is the hoisted per-transition forest-pool size (the pools
+  // live in smaller, finalized strata, so one lookup per group replaces one
+  // per trial).
   void DrawTreeBatch(const Group& g, const std::vector<size_t>& fpool_sizes,
                      size_t batch) {
     words_.resize(2 * batch);
@@ -472,7 +471,7 @@ class NftaCounter {
     cand_valid_.assign(batch, 0);
     for (size_t i = 0; i < batch; ++i) {
       const size_t pick =
-          drawer_.DrawFromDouble(Rng::DoubleFromWord(words_[2 * i]));
+          picker_.PickFromDouble(Rng::DoubleFromWord(words_[2 * i]));
       const size_t fpool_size = fpool_sizes[pick];
       uint32_t forest = 0;
       if (fpool_size != kLeafPool) {
@@ -504,8 +503,8 @@ class NftaCounter {
     }
     if (groups.empty()) return;
 
-    // Draws a candidate sample for transition tau (random forest ref);
-    // returns false if the forest pool is empty.
+    // Draws one candidate for transition tau (random forest ref) for the
+    // forced-sample fallback; false if the forest pool is empty.
     auto DrawCandidate = [&](uint32_t tau_idx, TreeSample* out) {
       const Nfta::Transition& t = nfta_.transition(tau_idx);
       out->transition = tau_idx;
@@ -529,49 +528,36 @@ class NftaCounter {
         total_estimate = total_estimate.Add(g.estimate);
         continue;
       }
-      // One drawer build per group, reused across the whole rejection loop.
-      drawer_.Prepare(DrawMode(), g.weights, &stats_);
+      // One picker build per group, reused across the whole rejection loop.
+      BuildPicker(g.weights);
       const size_t target = pool_target_;
       const size_t max_attempts = config_.attempt_factor * target + 64;
       size_t attempts = 0;
-      if (fast_) {
-        // Batched SoA kernel (see the NFA twin): the whole batch counts as
-        // attempts even when the target is crossed mid-batch — extra
-        // canonical hits just enrich the resample pool.
-        fast_fpool_sizes_.resize(g.taus.size());
-        for (size_t k = 0; k < g.taus.size(); ++k) {
-          const Nfta::Transition& t = nfta_.transition(g.taus[k]);
-          fast_fpool_sizes_[k] =
-              t.children.empty()
-                  ? kLeafPool
-                  : ForestPool(pool_f_[g.taus[k]][t.children.size()], s - 1)
-                        .size();
-        }
-        while (g.accepted.size() < target && attempts < max_attempts) {
-          if (Cancelled()) break;
-          const size_t batch = std::min(kDrawBatch, max_attempts - attempts);
-          DrawTreeBatch(g, fast_fpool_sizes_, batch);
-          for (size_t i = 0; i < batch; ++i) {
-            if (cand_valid_[i] == 0) continue;
-            const TreeSample candidate{cand_tau_[i], cand_forest_[i]};
-            if (CanonicalTransition(q, s, candidate) ==
-                candidate.transition) {
-              g.accepted.push_back(candidate);
-            }
-          }
-          attempts += batch;
-        }
-      } else {
-        while (g.accepted.size() < target && attempts < max_attempts) {
-          ++attempts;
-          if ((attempts & 255u) == 0 && Cancelled()) break;
-          const size_t pick = drawer_.Draw(&rng_);
-          TreeSample candidate;
-          if (!DrawCandidate(g.taus[pick], &candidate)) continue;
-          if (CanonicalTransition(q, s, candidate) == candidate.transition) {
+      // Batched SoA kernel (as in count_nfa.cc): the whole batch counts as
+      // attempts even when the target is crossed mid-batch — extra
+      // canonical hits just enrich the resample pool.
+      fpool_sizes_.resize(g.taus.size());
+      for (size_t k = 0; k < g.taus.size(); ++k) {
+        const Nfta::Transition& t = nfta_.transition(g.taus[k]);
+        fpool_sizes_[k] =
+            t.children.empty()
+                ? kLeafPool
+                : ForestPool(pool_f_[g.taus[k]][t.children.size()], s - 1)
+                      .size();
+      }
+      while (g.accepted.size() < target && attempts < max_attempts) {
+        if (Cancelled()) break;
+        const size_t batch = std::min(kDrawBatch, max_attempts - attempts);
+        DrawTreeBatch(g, fpool_sizes_, batch);
+        for (size_t i = 0; i < batch; ++i) {
+          if (cand_valid_[i] == 0) continue;
+          const TreeSample candidate{cand_tau_[i], cand_forest_[i]};
+          if (CanonicalTransition(q, s, candidate) ==
+              candidate.transition) {
             g.accepted.push_back(candidate);
           }
         }
+        attempts += batch;
       }
       stats_.attempts += attempts;
       stats_.accepted += g.accepted.size();
@@ -580,7 +566,7 @@ class NftaCounter {
         // is >= 1/|group|); force one biased sample so a live stratum never
         // reports a false zero.
         ++stats_.forced_samples;
-        const size_t pick = drawer_.Draw(&rng_);
+        const size_t pick = picker_.Pick(&rng_);
         TreeSample forced;
         if (DrawCandidate(g.taus[pick], &forced)) {
           g.accepted.push_back(forced);
@@ -607,71 +593,55 @@ class NftaCounter {
       group_list.push_back(&g);
       group_weights.push_back(g.estimate);
     }
-    if (group_list.size() > 1) {
-      drawer_.Prepare(DrawMode(), group_weights, &stats_);
-    }
+    if (group_list.size() > 1) BuildPicker(group_weights);
     auto& pool = pool_a_[q][static_cast<uint32_t>(s)];
     pool.reserve(pool_target_);
-    if (fast_) {
-      // Hoisted per-group draw bound: fresh-draw forest-pool size for
-      // singleton groups (kLeafPool when no forest is drawn), accepted-pool
-      // size otherwise — one lookup per group instead of one per entry.
-      fast_fpool_sizes_.resize(group_list.size());
-      for (size_t k = 0; k < group_list.size(); ++k) {
-        const Group& g = *group_list[k];
-        if (g.taus.size() == 1) {
-          const Nfta::Transition& t = nfta_.transition(g.taus[0]);
-          fast_fpool_sizes_[k] =
-              t.children.empty()
-                  ? kLeafPool
-                  : ForestPool(pool_f_[g.taus[0]][t.children.size()], s - 1)
-                        .size();
-        } else {
-          fast_fpool_sizes_[k] = g.accepted.size();
-        }
+    // Hoisted per-group draw bound: fresh-draw forest-pool size for
+    // singleton groups (kLeafPool when no forest is drawn), accepted-pool
+    // size otherwise — one lookup per group instead of one per entry.
+    fpool_sizes_.resize(group_list.size());
+    for (size_t k = 0; k < group_list.size(); ++k) {
+      const Group& g = *group_list[k];
+      if (g.taus.size() == 1) {
+        const Nfta::Transition& t = nfta_.transition(g.taus[0]);
+        fpool_sizes_[k] =
+            t.children.empty()
+                ? kLeafPool
+                : ForestPool(pool_f_[g.taus[0]][t.children.size()], s - 1)
+                      .size();
+      } else {
+        fpool_sizes_[k] = g.accepted.size();
       }
-      // Batched mixture: one word for the group pick, one for the index
-      // within the group (fresh forest ref for singleton groups,
-      // canonical-hit resample otherwise), drawn block-at-a-time.
-      for (size_t done = 0; done < pool_target_;) {
-        const size_t batch = std::min(kDrawBatch, pool_target_ - done);
-        words_.resize(2 * batch);
-        rng_.FillBlock(words_.data(), 2 * batch);
-        ++stats_.batch_draws;
-        BatchSizeHist().Observe(batch);
-        for (size_t i = 0; i < batch; ++i) {
-          const size_t gpick =
-              group_list.size() == 1
-                  ? 0
-                  : drawer_.DrawFromDouble(Rng::DoubleFromWord(words_[2 * i]));
-          const Group& g = *group_list[gpick];
-          const size_t bound = fast_fpool_sizes_[gpick];
-          const uint64_t word = words_[2 * i + 1];
-          if (g.taus.size() == 1) {
-            uint32_t forest = 0;
-            if (bound != kLeafPool) {
-              if (bound == 0) continue;
-              forest = static_cast<uint32_t>(Rng::BoundedFromWord(word, bound));
-            }
-            pool.push_back(TreeSample{g.taus[0], forest});
-          } else if (bound != 0) {
-            pool.push_back(g.accepted[Rng::BoundedFromWord(word, bound)]);
+    }
+    // Batched mixture: one word for the group pick, one for the index
+    // within the group (fresh forest ref for singleton groups,
+    // canonical-hit resample otherwise), drawn block-at-a-time.
+    for (size_t done = 0; done < pool_target_;) {
+      const size_t batch = std::min(kDrawBatch, pool_target_ - done);
+      words_.resize(2 * batch);
+      rng_.FillBlock(words_.data(), 2 * batch);
+      ++stats_.batch_draws;
+      BatchSizeHist().Observe(batch);
+      for (size_t i = 0; i < batch; ++i) {
+        const size_t gpick =
+            group_list.size() == 1
+                ? 0
+                : picker_.PickFromDouble(Rng::DoubleFromWord(words_[2 * i]));
+        const Group& g = *group_list[gpick];
+        const size_t bound = fpool_sizes_[gpick];
+        const uint64_t word = words_[2 * i + 1];
+        if (g.taus.size() == 1) {
+          uint32_t forest = 0;
+          if (bound != kLeafPool) {
+            if (bound == 0) continue;
+            forest = static_cast<uint32_t>(Rng::BoundedFromWord(word, bound));
           }
-        }
-        done += batch;
-      }
-    } else {
-      for (size_t i = 0; i < pool_target_; ++i) {
-        const Group& g = group_list.size() == 1
-                             ? *group_list[0]
-                             : *group_list[drawer_.Draw(&rng_)];
-        if (g.taus.size() == 1) {
-          TreeSample sample;
-          if (DrawCandidate(g.taus[0], &sample)) pool.push_back(sample);
-        } else if (!g.accepted.empty()) {
-          pool.push_back(g.accepted[rng_.NextBounded(g.accepted.size())]);
+          pool.push_back(TreeSample{g.taus[0], forest});
+        } else if (bound != 0) {
+          pool.push_back(g.accepted[Rng::BoundedFromWord(word, bound)]);
         }
       }
+      done += batch;
     }
     stats_.pool_entries += pool.size();
   }
@@ -868,68 +838,46 @@ class NftaCounter {
     est_f_[tau][j].emplace(static_cast<uint32_t>(s), total);
     if (splits.empty()) return;
 
-    if (splits.size() > 1) {
-      drawer_.Prepare(DrawMode(), weights, &stats_);
-    }
+    if (splits.size() > 1) BuildPicker(weights);
     auto& pool = pool_f_[tau][j][static_cast<uint32_t>(s)];
     pool.reserve(pool_target_);
-    if (fast_) {
-      // The pools a draw composes from are per-split invariants of the
-      // stratum (they belong to strictly smaller strata, complete by now),
-      // and only their sizes are read — hoist them out of the batch loop
-      // instead of re-doing two hash lookups per trial.
-      fast_prev_sizes_.resize(splits.size());
-      fast_tree_sizes_.resize(splits.size());
-      for (size_t k = 0; k < splits.size(); ++k) {
-        fast_prev_sizes_[k] =
-            j - 1 > 0 ? ForestPool(pool_f_[tau][j - 1], s - splits[k]).size()
-                      : 0;
-        fast_tree_sizes_[k] = TreePool(pool_a_[child], splits[k]).size();
-      }
-      // Batched composition: one word for the split pick, one for the
-      // prefix-forest index, one for the child-tree index.
-      for (size_t done = 0; done < pool_target_;) {
-        const size_t batch = std::min(kDrawBatch, pool_target_ - done);
-        words_.resize(3 * batch);
-        rng_.FillBlock(words_.data(), 3 * batch);
-        ++stats_.batch_draws;
-        BatchSizeHist().Observe(batch);
-        for (size_t i = 0; i < batch; ++i) {
-          const size_t pick =
-              splits.size() == 1
-                  ? 0
-                  : drawer_.DrawFromDouble(Rng::DoubleFromWord(words_[3 * i]));
-          uint32_t prefix_idx = 0;
-          if (j - 1 > 0) {
-            if (fast_prev_sizes_[pick] == 0) continue;
-            prefix_idx = static_cast<uint32_t>(Rng::BoundedFromWord(
-                words_[3 * i + 1], fast_prev_sizes_[pick]));
-          }
-          if (fast_tree_sizes_[pick] == 0) continue;
-          const uint32_t tree_idx = static_cast<uint32_t>(
-              Rng::BoundedFromWord(words_[3 * i + 2], fast_tree_sizes_[pick]));
-          pool.push_back(ForestSample{prefix_idx, tree_idx, splits[pick]});
-        }
-        done += batch;
-      }
-    } else {
-      for (size_t i = 0; i < pool_target_; ++i) {
-        const uint32_t split = splits.size() == 1
-                                   ? splits[0]
-                                   : splits[drawer_.Draw(&rng_)];
+    // The pools a draw composes from are per-split invariants of the
+    // stratum (they belong to strictly smaller strata, complete by now),
+    // and only their sizes are read — hoist them out of the batch loop
+    // instead of re-doing two hash lookups per trial.
+    prev_sizes_.resize(splits.size());
+    tree_sizes_.resize(splits.size());
+    for (size_t k = 0; k < splits.size(); ++k) {
+      prev_sizes_[k] =
+          j - 1 > 0 ? ForestPool(pool_f_[tau][j - 1], s - splits[k]).size()
+                    : 0;
+      tree_sizes_[k] = TreePool(pool_a_[child], splits[k]).size();
+    }
+    // Batched composition: one word for the split pick, one for the
+    // prefix-forest index, one for the child-tree index.
+    for (size_t done = 0; done < pool_target_;) {
+      const size_t batch = std::min(kDrawBatch, pool_target_ - done);
+      words_.resize(3 * batch);
+      rng_.FillBlock(words_.data(), 3 * batch);
+      ++stats_.batch_draws;
+      BatchSizeHist().Observe(batch);
+      for (size_t i = 0; i < batch; ++i) {
+        const size_t pick =
+            splits.size() == 1
+                ? 0
+                : picker_.PickFromDouble(Rng::DoubleFromWord(words_[3 * i]));
         uint32_t prefix_idx = 0;
         if (j - 1 > 0) {
-          const auto& prev_pool = ForestPool(pool_f_[tau][j - 1], s - split);
-          if (prev_pool.empty()) continue;
-          prefix_idx =
-              static_cast<uint32_t>(rng_.NextBounded(prev_pool.size()));
+          if (prev_sizes_[pick] == 0) continue;
+          prefix_idx = static_cast<uint32_t>(Rng::BoundedFromWord(
+              words_[3 * i + 1], prev_sizes_[pick]));
         }
-        const auto& tree_pool = TreePool(pool_a_[child], split);
-        if (tree_pool.empty()) continue;
-        const uint32_t tree_idx =
-            static_cast<uint32_t>(rng_.NextBounded(tree_pool.size()));
-        pool.push_back(ForestSample{prefix_idx, tree_idx, split});
+        if (tree_sizes_[pick] == 0) continue;
+        const uint32_t tree_idx = static_cast<uint32_t>(
+            Rng::BoundedFromWord(words_[3 * i + 2], tree_sizes_[pick]));
+        pool.push_back(ForestSample{prefix_idx, tree_idx, splits[pick]});
       }
+      done += batch;
     }
     stats_.pool_entries += pool.size();
   }
@@ -948,15 +896,14 @@ class NftaCounter {
   const size_t n_;
   const EstimatorConfig& config_;
   Rng rng_;
-  const bool fast_;  // batched fast kernels (kernel_mode = kFast)
   const CancelToken* cancel_;
   size_t pool_target_ = 0;
   CountStats stats_;
 
   // Hot-path scratch, reused across draws and strata.
-  IndexDrawer drawer_;
+  AliasPicker picker_;
   std::vector<ChildRef> child_scratch_;
-  // Fast-kernel SoA arenas, sized to one batch and reused across batches.
+  // SoA arenas, sized to one batch and reused across batches.
   std::vector<uint64_t> words_;        // raw block-RNG output
   std::vector<uint32_t> cand_tau_;     // candidate transition per attempt
   std::vector<uint32_t> cand_forest_;  // candidate forest index per attempt
@@ -978,9 +925,9 @@ class NftaCounter {
   std::vector<SetRef> top_sets_;
   // Hoisted per-stratum pool sizes for the batched trial loops (see
   // kLeafPool); scratch reused across strata.
-  std::vector<size_t> fast_fpool_sizes_;
-  std::vector<size_t> fast_prev_sizes_;
-  std::vector<size_t> fast_tree_sizes_;
+  std::vector<size_t> fpool_sizes_;
+  std::vector<size_t> prev_sizes_;
+  std::vector<size_t> tree_sizes_;
 
   std::vector<std::vector<bool>> fwd_a_;                // [q][s]
   std::vector<std::vector<uint32_t>> fwd_a_sizes_;      // sparse live sizes
@@ -1018,8 +965,7 @@ Result<NftaSampleResult> CountAndSampleNftaTrees(
   NftaSampleResult out;
   PQE_ASSIGN_OR_RETURN(out.estimate, counter.Run());
   out.samples = counter.SampleAccepted(num_samples);
-  RecordCountRun("pqe.count_nfta", out.estimate.stats, config.kernel_mode,
-                 &span);
+  RecordCountRun("pqe.count_nfta", out.estimate.stats, &span);
   return out;
 }
 

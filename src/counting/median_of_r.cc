@@ -22,7 +22,7 @@ Result<CountEstimate> CountMedianOfR(
   span->AttrUint("repetitions", reps);
   if (reps == 1) {
     PQE_ASSIGN_OR_RETURN(CountEstimate est, run_one(config));
-    RecordCountRun(names.metrics, est.stats, config.kernel_mode, span);
+    RecordCountRun(names.metrics, est.stats, span);
     return est;
   }
   const size_t threads =
@@ -68,7 +68,7 @@ Result<CountEstimate> CountMedianOfR(
             });
   CountEstimate out = runs[runs.size() / 2];
   out.stats = aggregate;
-  RecordCountRun(names.metrics, out.stats, config.kernel_mode, span);
+  RecordCountRun(names.metrics, out.stats, span);
   return out;
 }
 

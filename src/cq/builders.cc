@@ -3,11 +3,13 @@
 #include <string>
 #include <vector>
 
+#include "util/str_cat.h"
+
 namespace pqe {
 
 namespace {
 
-std::string Var(uint32_t i) { return "x" + std::to_string(i); }
+std::string Var(uint32_t i) { return StrCat("x", i); }
 
 }  // namespace
 
@@ -16,12 +18,12 @@ Result<QueryInstance> MakePathQuery(uint32_t n) {
   Schema schema;
   for (uint32_t i = 1; i <= n; ++i) {
     PQE_RETURN_IF_ERROR(
-        schema.AddRelation("R" + std::to_string(i), 2).status());
+        schema.AddRelation(StrCat("R", i), 2).status());
   }
   ConjunctiveQuery::Builder builder(&schema);
   for (uint32_t i = 1; i <= n; ++i) {
     PQE_RETURN_IF_ERROR(
-        builder.AddAtom("R" + std::to_string(i), {Var(i), Var(i + 1)}));
+        builder.AddAtom(StrCat("R", i), {Var(i), Var(i + 1)}));
   }
   PQE_ASSIGN_OR_RETURN(ConjunctiveQuery q, builder.Build());
   return QueryInstance{std::move(schema), std::move(q)};
@@ -32,12 +34,12 @@ Result<QueryInstance> MakeStarQuery(uint32_t n) {
   Schema schema;
   for (uint32_t i = 1; i <= n; ++i) {
     PQE_RETURN_IF_ERROR(
-        schema.AddRelation("R" + std::to_string(i), 2).status());
+        schema.AddRelation(StrCat("R", i), 2).status());
   }
   ConjunctiveQuery::Builder builder(&schema);
   for (uint32_t i = 1; i <= n; ++i) {
     PQE_RETURN_IF_ERROR(
-        builder.AddAtom("R" + std::to_string(i), {Var(0), Var(i)}));
+        builder.AddAtom(StrCat("R", i), {Var(0), Var(i)}));
   }
   PQE_ASSIGN_OR_RETURN(ConjunctiveQuery q, builder.Build());
   return QueryInstance{std::move(schema), std::move(q)};
@@ -48,13 +50,13 @@ Result<QueryInstance> MakeCycleQuery(uint32_t n) {
   Schema schema;
   for (uint32_t i = 1; i <= n; ++i) {
     PQE_RETURN_IF_ERROR(
-        schema.AddRelation("R" + std::to_string(i), 2).status());
+        schema.AddRelation(StrCat("R", i), 2).status());
   }
   ConjunctiveQuery::Builder builder(&schema);
   for (uint32_t i = 1; i <= n; ++i) {
     uint32_t next = (i == n) ? 1 : i + 1;
     PQE_RETURN_IF_ERROR(
-        builder.AddAtom("R" + std::to_string(i), {Var(i), Var(next)}));
+        builder.AddAtom(StrCat("R", i), {Var(i), Var(next)}));
   }
   PQE_ASSIGN_OR_RETURN(ConjunctiveQuery q, builder.Build());
   return QueryInstance{std::move(schema), std::move(q)};
@@ -90,19 +92,19 @@ Result<QueryInstance> MakeCaterpillarQuery(uint32_t n) {
   Schema schema;
   for (uint32_t i = 1; i <= n; ++i) {
     PQE_RETURN_IF_ERROR(
-        schema.AddRelation("R" + std::to_string(i), 2).status());
+        schema.AddRelation(StrCat("R", i), 2).status());
   }
   for (uint32_t i = 2; i <= n; ++i) {
     PQE_RETURN_IF_ERROR(
-        schema.AddRelation("L" + std::to_string(i), 1).status());
+        schema.AddRelation(StrCat("L", i), 1).status());
   }
   ConjunctiveQuery::Builder builder(&schema);
   for (uint32_t i = 1; i <= n; ++i) {
     PQE_RETURN_IF_ERROR(
-        builder.AddAtom("R" + std::to_string(i), {Var(i), Var(i + 1)}));
+        builder.AddAtom(StrCat("R", i), {Var(i), Var(i + 1)}));
     if (i >= 2) {
       PQE_RETURN_IF_ERROR(
-          builder.AddAtom("L" + std::to_string(i), {Var(i)}));
+          builder.AddAtom(StrCat("L", i), {Var(i)}));
     }
   }
   PQE_ASSIGN_OR_RETURN(ConjunctiveQuery q, builder.Build());
@@ -116,21 +118,17 @@ Result<QueryInstance> MakeSnowflakeQuery(uint32_t arms, uint32_t depth) {
   Schema schema;
   for (uint32_t a = 1; a <= arms; ++a) {
     for (uint32_t d = 1; d <= depth; ++d) {
-      PQE_RETURN_IF_ERROR(schema
-                              .AddRelation("R" + std::to_string(a) + "_" +
-                                               std::to_string(d),
-                                           2)
-                              .status());
+      PQE_RETURN_IF_ERROR(
+          schema.AddRelation(StrCat("R", a, "_", d), 2).status());
     }
   }
   ConjunctiveQuery::Builder builder(&schema);
   for (uint32_t a = 1; a <= arms; ++a) {
     std::string prev = "x0";
     for (uint32_t d = 1; d <= depth; ++d) {
-      std::string next =
-          "y" + std::to_string(a) + "_" + std::to_string(d);
-      PQE_RETURN_IF_ERROR(builder.AddAtom(
-          "R" + std::to_string(a) + "_" + std::to_string(d), {prev, next}));
+      std::string next = StrCat("y", a, "_", d);
+      PQE_RETURN_IF_ERROR(
+          builder.AddAtom(StrCat("R", a, "_", d), {prev, next}));
       prev = next;
     }
   }

@@ -86,25 +86,12 @@ Result<KarpLubyResult> KarpLubyEstimate(const DnfLineage& lineage,
     marginals[f] = pdb.probability(f).ToDouble();
   }
 
-  const bool fast = config.kernel_mode == KernelMode::kFast;
-  span.AttrText("kernels", KernelModeToString(config.kernel_mode));
-
   // Clause picker built once and shared read-only across shards (picks are
-  // const): the legacy per-sample PickWeightedIndex rescanned and rescaled
-  // all clause weights on every draw. The exact tier's cumulative picker is
-  // draw-identical to it by construction, so estimates are unchanged; the
-  // fast tier uses the O(1) alias table instead (statistically equivalent).
-  WeightedPicker clause_picker;
-  AliasPicker clause_alias;
-  if (fast) {
-    clause_alias.Build(weights, "karp_luby clause table");
-    obs::MetricRegistry::Global().GetCounter("counting.alias_builds")
-        .Increment();
-  } else {
-    clause_picker.Build(weights, "karp_luby clause table");
-    obs::MetricRegistry::Global().GetCounter("counting.picker_builds")
-        .Increment();
-  }
+  // const).
+  AliasPicker clause_picker;
+  clause_picker.Build(weights, "karp_luby clause table");
+  obs::MetricRegistry::Global().GetCounter("counting.alias_builds")
+      .Increment();
 
   // The i.i.d. sample loop, sharded. Shard boundaries are fixed by the
   // config alone (never by thread count or scheduling): shard i covers
@@ -126,75 +113,48 @@ Result<KarpLubyResult> KarpLubyEstimate(const DnfLineage& lineage,
     uint64_t hits = 0;
     const size_t begin = shard * samples / shards;
     const size_t end = (shard + 1) * samples / shards;
-    if (fast) {
-      // Batched SoA kernel: each trial consumes one clause-pick word plus
-      // one word per fact, generated block-at-a-time; several trials share
-      // one contiguous block so the RNG stays out of the inner loop. The
-      // world is a byte arena filled by a branchless compare the compiler
-      // can vectorize (NextBernoulli's p<=0 / p>=1 clamps fall out of
-      // `u < p` for u in [0,1)).
-      const size_t words_per_trial = num_facts + 1;
-      const size_t trials_per_block =
-          std::max<size_t>(1, 4096 / words_per_trial);
-      std::vector<uint64_t> words;
-      std::vector<uint8_t> world(num_facts, 0);
-      uint64_t batches = 0;
-      size_t s = begin;
-      while (s < end) {
-        if (config.cancel != nullptr) {
-          if (config.cancel->Expired()) break;
-          if (s > begin) config.cancel->AddProgress(trials_per_block);
-        }
-        const size_t trials = std::min(trials_per_block, end - s);
-        words.resize(trials * words_per_trial);
-        rng.FillBlock(words.data(), words.size());
-        ++batches;
-        batch_hist.Observe(trials);
-        for (size_t t = 0; t < trials; ++t) {
-          const uint64_t* w = words.data() + t * words_per_trial;
-          const size_t j =
-              clause_alias.PickFromDouble(Rng::DoubleFromWord(w[0]));
-          for (FactId f = 0; f < num_facts; ++f) {
-            world[f] = Rng::DoubleFromWord(w[f + 1]) < marginals[f] ? 1 : 0;
-          }
-          for (FactId f : lineage.clauses[j]) world[f] = 1;
-          bool canonical = true;
-          for (size_t k = 0; k < j && canonical; ++k) {
-            bool sat = true;
-            for (FactId f : lineage.clauses[k]) sat = sat && world[f] != 0;
-            if (sat) canonical = false;
-          }
-          if (canonical) ++hits;
-        }
-        s += trials;
+    // Batched SoA kernel: each trial consumes one clause-pick word plus
+    // one word per fact, generated block-at-a-time; several trials share
+    // one contiguous block so the RNG stays out of the inner loop. The
+    // world is a byte arena filled by a branchless compare the compiler
+    // can vectorize (NextBernoulli's p<=0 / p>=1 clamps fall out of
+    // `u < p` for u in [0,1)).
+    const size_t words_per_trial = num_facts + 1;
+    const size_t trials_per_block =
+        std::max<size_t>(1, 4096 / words_per_trial);
+    std::vector<uint64_t> words;
+    std::vector<uint8_t> world(num_facts, 0);
+    uint64_t batches = 0;
+    size_t s = begin;
+    while (s < end) {
+      if (config.cancel != nullptr) {
+        if (config.cancel->Expired()) break;
+        if (s > begin) config.cancel->AddProgress(trials_per_block);
       }
-      shard_batches[shard] = batches;
-    } else {
-      std::vector<bool> world(num_facts, false);
-      for (size_t s = begin; s < end; ++s) {
-        // Cooperative cancellation: poll every 512 samples. When the token
-        // expires the whole run is discarded below, so stopping mid-shard
-        // cannot bias anything.
-        if (((s - begin) & 511u) == 0 && config.cancel != nullptr) {
-          if (config.cancel->Expired()) break;
-          if (s > begin) config.cancel->AddProgress(512);
-        }
-        const size_t j = clause_picker.Pick(&rng);
-        // Draw a world conditioned on clause j being satisfied.
+      const size_t trials = std::min(trials_per_block, end - s);
+      words.resize(trials * words_per_trial);
+      rng.FillBlock(words.data(), words.size());
+      ++batches;
+      batch_hist.Observe(trials);
+      for (size_t t = 0; t < trials; ++t) {
+        const uint64_t* w = words.data() + t * words_per_trial;
+        const size_t j =
+            clause_picker.PickFromDouble(Rng::DoubleFromWord(w[0]));
         for (FactId f = 0; f < num_facts; ++f) {
-          world[f] = rng.NextBernoulli(marginals[f]);
+          world[f] = Rng::DoubleFromWord(w[f + 1]) < marginals[f] ? 1 : 0;
         }
-        for (FactId f : lineage.clauses[j]) world[f] = true;
-        // Coverage estimator: count iff j is the first satisfied clause.
+        for (FactId f : lineage.clauses[j]) world[f] = 1;
         bool canonical = true;
         for (size_t k = 0; k < j && canonical; ++k) {
           bool sat = true;
-          for (FactId f : lineage.clauses[k]) sat = sat && world[f];
+          for (FactId f : lineage.clauses[k]) sat = sat && world[f] != 0;
           if (sat) canonical = false;
         }
         if (canonical) ++hits;
       }
+      s += trials;
     }
+    shard_batches[shard] = batches;
     shard_hits[shard] = hits;
     shard_hist.Observe(static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(

@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "counting/config.h"
 #include "lineage/lineage.h"
 #include "pdb/probabilistic_database.h"
 #include "util/cancel.h"
@@ -31,13 +30,6 @@ struct KarpLubyConfig {
   /// scheduling. Changing num_shards changes the sample streams (like
   /// changing the seed), not the estimator's guarantee.
   size_t num_shards = 0;
-  /// Sampling-kernel tier (see counting/config.h). kExact draws one clause
-  /// pick plus one Bernoulli per fact through the scalar Rng calls —
-  /// bit-identical across thread counts and versions. kFast consumes
-  /// block-generated RNG words through an alias table and a branchless
-  /// world-fill over a contiguous byte arena — statistically equivalent,
-  /// fixed-seed reproducible within a build.
-  KernelMode kernel_mode = KernelMode::kExact;
   /// Cooperative cancellation (optional, not owned; must outlive the run).
   /// Each shard polls the token every few hundred samples and stops early
   /// when it expires; the run then returns StatusCode::kDeadlineExceeded

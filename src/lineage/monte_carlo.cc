@@ -46,30 +46,21 @@ Result<MonteCarloResult> MonteCarloPqe(const ConjunctiveQuery& query,
   std::vector<Status> shard_status(shards, Status::OK());
   auto& shard_hist =
       obs::MetricRegistry::Global().GetHistogram("pqe.monte_carlo.shard_ns");
-  const bool fast = config.kernel_mode == KernelMode::kFast;
-  span.AttrText("kernels", KernelModeToString(config.kernel_mode));
   ParallelFor(threads, shards, [&](size_t shard) {
     const auto start = std::chrono::steady_clock::now();
     Rng rng(Rng::DeriveSeed(config.seed, shard));
     std::vector<bool> world(num_facts, false);
-    // Fast tier: one raw word per fact, generated block-at-a-time; the
-    // world stays a vector<bool> (SatisfiesSubinstance's interface), only
-    // the randomness is batched.
-    std::vector<uint64_t> words;
-    if (fast) words.resize(num_facts);
+    // One raw word per fact, generated block-at-a-time; the world stays a
+    // vector<bool> (SatisfiesSubinstance's interface), only the randomness
+    // is batched.
+    std::vector<uint64_t> words(num_facts);
     uint64_t hits = 0;
     const size_t begin = shard * samples / shards;
     const size_t end = (shard + 1) * samples / shards;
     for (size_t s = begin; s < end; ++s) {
-      if (fast) {
-        rng.FillBlock(words.data(), num_facts);
-        for (FactId f = 0; f < num_facts; ++f) {
-          world[f] = Rng::DoubleFromWord(words[f]) < marginals[f];
-        }
-      } else {
-        for (FactId f = 0; f < num_facts; ++f) {
-          world[f] = rng.NextBernoulli(marginals[f]);
-        }
+      rng.FillBlock(words.data(), num_facts);
+      for (FactId f = 0; f < num_facts; ++f) {
+        world[f] = Rng::DoubleFromWord(words[f]) < marginals[f];
       }
       Result<bool> sat = SatisfiesSubinstance(db, query, world);
       if (!sat.ok()) {

@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "counting/config.h"
 #include "cq/query.h"
 #include "pdb/probabilistic_database.h"
 #include "util/result.h"
@@ -21,11 +20,6 @@ struct MonteCarloConfig {
   /// Sample-loop shards (0 = default 64, clamped to the sample count); same
   /// determinism contract as KarpLubyConfig::num_shards.
   size_t num_shards = 0;
-  /// Sampling-kernel tier: kExact draws each world one scalar Bernoulli at
-  /// a time (bit-identical across versions); kFast fills worlds from
-  /// block-generated RNG words (statistically equivalent, fixed-seed
-  /// reproducible within a build). See counting/config.h.
-  KernelMode kernel_mode = KernelMode::kExact;
 };
 
 /// Result of a naive Monte-Carlo run.

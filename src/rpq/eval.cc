@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "obs/trace.h"
+#include "util/str_cat.h"
 
 namespace pqe {
 namespace rpq {
@@ -25,7 +26,7 @@ std::optional<ConjunctiveQuery> LowerToPathQuery(const RpqQuery& query,
   for (size_t i = 0; i < labels.size(); ++i) {
     const Status s = builder.AddAtom(
         labels[i],
-        {"x" + std::to_string(i + 1), "x" + std::to_string(i + 2)});
+        {StrCat("x", i + 1), StrCat("x", i + 2)});
     if (!s.ok()) return std::nullopt;
   }
   auto built = builder.Build();

@@ -57,7 +57,6 @@ uint64_t HashEstimatorConfig(const EstimatorConfig& config) {
   mix(config.attempt_factor);
   mix(config.repetitions);
   mix(config.disable_backward_pruning ? 1 : 0);
-  mix(static_cast<uint64_t>(config.kernel_mode));
   return h;
 }
 

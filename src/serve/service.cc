@@ -105,7 +105,6 @@ EvalResponse PqeService::EvaluateOne(const EvalRequest& request,
   if (request.collect_trace.has_value()) {
     opts.collect_trace = *request.collect_trace;
   }
-  if (request.kernels.has_value()) opts.kernel_mode = *request.kernels;
   opts.seed = request.seed.has_value()
                   ? *request.seed
                   : Rng::DeriveSeed(options_.engine.seed, effective_id);
@@ -163,7 +162,6 @@ EvalResponse PqeService::EvaluateOne(const EvalRequest& request,
     forwarded.epsilon.reset();
     forwarded.seed.reset();
     forwarded.collect_trace.reset();
-    forwarded.kernels.reset();
     resp = delegate.EvaluateRequest(forwarded);
     telemetry.cache_class = CacheClass::kDelegated;
     if (resp.answer.count_stats.has_value()) {
@@ -228,7 +226,6 @@ void PqeService::CaptureRequest(const EvalRequest& request,
   // request spelled them.
   record.config_hash = HashEngineConfig(opts);
   record.method = PqeMethodToString(opts.method);
-  record.kernels = KernelModeToString(opts.kernel_mode);
   record.epsilon = opts.epsilon;
   record.seed = opts.seed;
   record.deadline_ms = request.deadline_ms;

@@ -77,7 +77,6 @@ std::string FormatWorkloadRecord(const WorkloadRecord& record) {
   w.Key("labelling_hash").String(ToHex(record.labelling_hash));
   w.Key("config_hash").String(ToHex(record.config_hash));
   w.Key("method").String(record.method);
-  w.Key("kernels").String(record.kernels);
   w.Key("epsilon").Double(record.epsilon);
   w.Key("seed").String(ToHex(record.seed));
   w.Key("deadline_ms").Uint(record.deadline_ms);
@@ -103,10 +102,9 @@ Result<WorkloadRecord> ParseWorkloadRecord(std::string_view line) {
   r.labelling_hash = GetHex(doc, "labelling_hash");
   r.config_hash = GetHex(doc, "config_hash");
   r.method = GetString(doc, "method");
-  // Pre-kernel-mode captures carry no "kernels" key; they recorded the
-  // then-only exact tier.
-  r.kernels = GetString(doc, "kernels");
-  if (r.kernels.empty()) r.kernels = "exact";
+  // A "kernels" key (written by earlier versions, which had two sampling
+  // tiers) is ignored: those captures carry an older config_hash, so they
+  // replay as config drift.
   r.epsilon = GetNumber(doc, "epsilon");
   r.seed = GetHex(doc, "seed");
   r.deadline_ms =
@@ -204,7 +202,11 @@ uint64_t HashLabelling(const ProbabilisticDatabase& pdb) {
 }
 
 uint64_t HashEngineConfig(const PqeEngine::Options& options) {
+  // The sampler's draw scheme (alias-table picks over block-generated RNG
+  // words). Bump it whenever a change moves answer bits at fixed options.
+  constexpr uint64_t kSamplerGeneration = 2;
   uint64_t h = kFnvOffset;
+  Mix(&h, kSamplerGeneration);
   Mix(&h, options.max_width);
   Mix(&h, options.enumeration_threshold);
   Mix(&h, options.pool_size);
@@ -408,10 +410,6 @@ Result<ReplayReport> ReplayWorkload(
     if (!r.method.empty()) {
       PQE_ASSIGN_OR_RETURN(PqeMethod m, MethodFromString(r.method));
       req.method = m;
-    }
-    if (!r.kernels.empty()) {
-      PQE_ASSIGN_OR_RETURN(KernelMode km, KernelModeFromString(r.kernels));
-      req.kernels = km;
     }
     // No deadline: replay verifies answers, not timing.
     requests.push_back(req);

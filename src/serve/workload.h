@@ -42,7 +42,6 @@ struct WorkloadRecord {
   uint64_t labelling_hash = 0;   // HashLabelling of the request's pdb
   uint64_t config_hash = 0;      // HashEngineConfig of the serving defaults
   std::string method;            // effective method ("auto" = engine resolves)
-  std::string kernels = "exact"; // effective kernel mode ("exact" | "fast")
   double epsilon = 0.0;          // effective epsilon
   uint64_t seed = 0;             // effective seed (explicit or derived)
   uint64_t deadline_ms = 0;
@@ -73,7 +72,9 @@ uint64_t HashLabelling(const ProbabilisticDatabase& pdb);
 
 /// FNV-1a over the engine options that steer an evaluation but are NOT
 /// recorded per line (max_width, enumeration_threshold, pool sizing,
-/// repetitions). method/kernels/epsilon/seed are excluded — each record
+/// repetitions), plus a constant naming the sampler's draw scheme, so
+/// captures recorded under an earlier sampler replay as config drift rather
+/// than as mismatches. method/epsilon/seed are excluded — each record
 /// carries its own effective values. num_threads and tracing are excluded by
 /// the determinism contract (they never change answers).
 uint64_t HashEngineConfig(const PqeEngine::Options& options);

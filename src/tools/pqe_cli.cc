@@ -37,7 +37,6 @@ struct CliOptions {
   std::string query_text;
   std::string rpq_text;
   std::string method = "auto";
-  std::string kernels = "exact";
   double epsilon = 0.2;
   uint64_t seed = 42;
   size_t max_width = 3;
@@ -101,11 +100,6 @@ const FlagSpec kFlags[] = {
      [](CliOptions& o, const char* v) {
        o.num_threads = std::strtoull(v, nullptr, 10);
      }},
-    {"--kernels", "M",
-     "sampling kernels: exact (default; bit-identical\n"
-     "golden path) or fast (batched alias-table kernels,\n"
-     "statistically equivalent)",
-     [](CliOptions& o, const char* v) { o.kernels = v; }},
     {"--ur", nullptr, "report uniform reliability instead of probability",
      [](CliOptions& o, const char*) { o.uniform_reliability = true; }},
     {"--sample", "K", "print K sampled worlds conditioned on Q holding",
@@ -343,12 +337,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "unknown method: %s\n", cli.method.c_str());
     return 2;
   }
-  auto kernel_mode_or = KernelModeFromString(cli.kernels);
-  if (!kernel_mode_or.ok()) {
-    std::fprintf(stderr, "%s\n", kernel_mode_or.status().ToString().c_str());
-    return 2;
-  }
-  builder.Kernels(*kernel_mode_or);
   auto opts_or = builder.Build();
   if (!opts_or.ok()) {
     std::fprintf(stderr, "invalid options: %s\n",
@@ -583,7 +571,6 @@ int main(int argc, char** argv) {
     cfg.epsilon = cli.epsilon;
     cfg.seed = cli.seed;
     cfg.num_threads = cli.num_threads;
-    cfg.kernel_mode = *kernel_mode_or;
     UrConstructionOptions uropts;
     uropts.max_width = cli.max_width;
     auto worlds =

@@ -1,7 +1,5 @@
 #include "util/rng.h"
 
-#include <cmath>
-
 #include "util/check.h"
 
 namespace pqe {
@@ -78,28 +76,5 @@ bool Rng::NextBernoulli(double p) {
   if (p >= 1.0) return true;
   return NextDouble() < p;
 }
-
-size_t Rng::NextDiscrete(const std::vector<double>& weights) {
-  PQE_CHECK(!weights.empty());
-  double total = 0.0;
-  for (double w : weights) {
-    PQE_CHECK(w >= 0.0 && std::isfinite(w));
-    total += w;
-  }
-  PQE_CHECK(total > 0.0);
-  double x = NextDouble() * total;
-  double acc = 0.0;
-  for (size_t i = 0; i < weights.size(); ++i) {
-    acc += weights[i];
-    if (x < acc) return i;
-  }
-  // Floating-point edge: return the last index with non-zero weight.
-  for (size_t i = weights.size(); i-- > 0;) {
-    if (weights[i] > 0.0) return i;
-  }
-  return weights.size() - 1;
-}
-
-Rng Rng::Split() { return Rng(Next() ^ 0xd1b54a32d192ed03ULL); }
 
 }  // namespace pqe

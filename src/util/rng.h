@@ -3,9 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
-#include "util/span.h"
 
 namespace pqe {
 
@@ -39,16 +37,15 @@ class Rng {
 
   /// The uniform double in [0, 1) that NextDouble() derives from a raw
   /// word (53 mantissa bits). Lets block consumers map FillBlock output to
-  /// the same doubles the scalar path would draw.
+  /// the same doubles NextDouble() would draw.
   static double DoubleFromWord(uint64_t word) {
     return static_cast<double>(word >> 11) * 0x1.0p-53;
   }
 
   /// Branch-free map of a raw word to [0, bound) via the multiply-shift
   /// reduction (Lemire 2019): floor(word * bound / 2^64). Not the same
-  /// value NextBounded() yields from that word (and negligibly biased for
-  /// bound << 2^64), so this is for the statistically-equivalent fast
-  /// kernels only — the exact path keeps rejection sampling.
+  /// value NextBounded() yields from that word, and negligibly biased for
+  /// bound << 2^64 (NextBounded rejects to stay exactly uniform).
   static uint64_t BoundedFromWord(uint64_t word, uint64_t bound) {
     return static_cast<uint64_t>(
         (static_cast<unsigned __int128>(word) * bound) >> 64);
@@ -56,13 +53,6 @@ class Rng {
 
   /// Bernoulli draw with success probability p (clamped to [0,1]).
   bool NextBernoulli(double p);
-
-  /// Samples an index in [0, weights.size()) with probability proportional
-  /// to weights[i] (weights must be non-negative, not all zero).
-  size_t NextDiscrete(const std::vector<double>& weights);
-
-  /// Derives an independent child generator (for parallel-safe splitting).
-  Rng Split();
 
   /// Seed of the `index`-th independent stream derived from `base` (golden-
   /// ratio stride — the same spacing splitmix64 uses internally, so the
@@ -77,22 +67,6 @@ class Rng {
 
  private:
   uint64_t s_[4];
-};
-
-/// Read-only view presenting a block of raw RNG words as uniform doubles in
-/// [0, 1) — the bridge between Rng::FillBlock buffers and kernels that want
-/// uniforms. Does not own the words; the underlying buffer must outlive it.
-class DoubleBlock {
- public:
-  explicit DoubleBlock(Span<uint64_t> words) : words_(words) {}
-
-  double operator[](size_t i) const {
-    return Rng::DoubleFromWord(words_[i]);
-  }
-  size_t size() const { return words_.size(); }
-
- private:
-  Span<uint64_t> words_;
 };
 
 }  // namespace pqe

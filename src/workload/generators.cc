@@ -4,13 +4,14 @@
 #include <vector>
 
 #include "util/rng.h"
+#include "util/str_cat.h"
 
 namespace pqe {
 
 namespace {
 
 std::string LayerNode(uint32_t layer, uint32_t index) {
-  return "n" + std::to_string(layer) + "_" + std::to_string(index);
+  return StrCat("n", layer, "_", index);
 }
 
 }  // namespace
@@ -97,8 +98,7 @@ Result<Database> MakeRandomDatabase(const Schema& schema,
       std::vector<std::string> args;
       args.reserve(arity);
       for (uint32_t i = 0; i < arity; ++i) {
-        args.push_back(
-            "c" + std::to_string(rng.NextBounded(options.domain_size)));
+        args.push_back(StrCat("c", rng.NextBounded(options.domain_size)));
       }
       PQE_RETURN_IF_ERROR(
           db.AddFactByName(schema.Name(r), args).status());
@@ -126,17 +126,16 @@ Result<Database> MakeStarDatabase(const QueryInstance& star_query,
         if (rng.NextBernoulli(options.density)) {
           any = true;
           PQE_RETURN_IF_ERROR(
-              db.AddFactByName(rel, {"hub" + std::to_string(h),
-                                     "leaf" + std::to_string(h) + "_" +
-                                         std::to_string(s) + "_" + rel})
+              db.AddFactByName(
+                    rel, {StrCat("hub", h), StrCat("leaf", h, "_", s, "_", rel)})
                   .status());
         }
       }
       // Keep every hub usable so star benchmarks have non-trivial answers.
       if (!any) {
         PQE_RETURN_IF_ERROR(
-            db.AddFactByName(rel, {"hub" + std::to_string(h),
-                                   "leaf" + std::to_string(h) + "_0_" + rel})
+            db.AddFactByName(
+                  rel, {StrCat("hub", h), StrCat("leaf", h, "_0_", rel)})
                 .status());
       }
     }
@@ -198,18 +197,16 @@ Result<Database> MakeSnowflakeDatabase(const QueryInstance& snowflake_query,
     uint32_t level_size = options.hubs;
     std::vector<std::string> level;
     for (uint32_t h = 0; h < options.hubs; ++h) {
-      level.push_back("hub" + std::to_string(h));
+      level.push_back(StrCat("hub", h));
     }
     for (uint32_t d = 1; d <= depth; ++d) {
-      const std::string rel =
-          "R" + std::to_string(a) + "_" + std::to_string(d);
+      const std::string rel = StrCat("R", a, "_", d);
       std::vector<std::string> next;
       for (uint32_t p = 0; p < level.size(); ++p) {
         bool any = false;
         for (uint32_t c = 0; c < options.fanout; ++c) {
-          const std::string child = "a" + std::to_string(a) + "d" +
-                                    std::to_string(d) + "n" +
-                                    std::to_string(p * options.fanout + c);
+          const std::string child =
+              StrCat("a", a, "d", d, "n", p * options.fanout + c);
           if (rng.NextBernoulli(options.density) || (!any && c + 1 ==
                                                      options.fanout)) {
             any = true;

@@ -219,11 +219,11 @@ TEST(PathNfaTest, StateCountPolynomialBound) {
 // Bit-identity tests elsewhere compare two paths inside one build, so an
 // encoding change that hits both paths equally slips past them. This table
 // pins the answers themselves: the probability's bit pattern and the bound
-// automaton's (states, transitions, k), per route and kernel tier, at fixed
-// seeds. A row may only change together with a deliberate, documented
-// change of the encoding or the sampler.
+// automaton's (states, transitions, k), per route, at fixed seeds. A row
+// may only change together with a deliberate, documented change of the
+// encoding or the sampler.
 
-PqeEngine::Options PinnedOptions(KernelMode mode) {
+PqeEngine::Options PinnedOptions() {
   auto opts = PqeEngine::Options::Builder()
                   .Method(PqeMethod::kFpras)
                   .Epsilon(0.3)
@@ -231,7 +231,6 @@ PqeEngine::Options PinnedOptions(KernelMode mode) {
                   .PoolSize(48)
                   .Repetitions(1)
                   .NumThreads(1)
-                  .Kernels(mode)
                   .Build();
   EXPECT_TRUE(opts.ok()) << opts.status().ToString();
   return *opts;
@@ -261,7 +260,6 @@ ProbabilisticDatabase PinnedCaterpillarData(const QueryInstance& qi) {
 
 struct PinnedRow {
   const char* name;
-  KernelMode mode;
   const char* probability_bits;  // hex of the double's bit pattern
   size_t states;
   size_t transitions;
@@ -269,14 +267,10 @@ struct PinnedRow {
 };
 
 constexpr PinnedRow kPinnedRows[] = {
-    {"tree_caterpillar3", KernelMode::kExact, "3fb13496c57a37c6", 320, 631, 46},
-    {"tree_caterpillar3", KernelMode::kFast, "3fb022a5a0128895", 320, 631, 46},
-    {"path_cq3", KernelMode::kExact, "3fe27fadbe268816", 329, 654, 36},
-    {"path_cq3", KernelMode::kFast, "3fe65abc2186185d", 329, 654, 36},
-    {"rpq_product", KernelMode::kExact, "3fedcd724ef334d7", 331, 650, 28},
-    {"rpq_product", KernelMode::kFast, "3fe1daecccccccc9", 331, 650, 28},
-    {"tree_delta_patch", KernelMode::kExact, "3fb49fed23b45d2f", 320, 631, 46},
-    {"tree_delta_patch", KernelMode::kFast, "3fb37d5986d93b36", 320, 631, 46},
+    {"tree_caterpillar3", "3fb022a5a0128895", 320, 631, 46},
+    {"path_cq3", "3fe65abc2186185d", 329, 654, 36},
+    {"rpq_product", "3fe1daecccccccc9", 331, 650, 28},
+    {"tree_delta_patch", "3fb37d5986d93b36", 320, 631, 46},
 };
 
 std::string ProbabilityBits(double p) {
@@ -288,8 +282,8 @@ std::string ProbabilityBits(double p) {
   return buf;
 }
 
-PqeAnswer PinnedAnswer(const std::string& name, KernelMode mode) {
-  const PqeEngine::Options opts = PinnedOptions(mode);
+PqeAnswer PinnedAnswer(const std::string& name) {
+  const PqeEngine::Options opts = PinnedOptions();
   if (name == "tree_caterpillar3") {
     QueryInstance qi = PinnedCaterpillar();
     ProbabilisticDatabase pdb = PinnedCaterpillarData(qi);
@@ -357,11 +351,9 @@ PqeAnswer PinnedAnswer(const std::string& name, KernelMode mode) {
 
 TEST(PinnedAnswerTest, AnswersAndAutomatonShapesMatchTheTable) {
   for (const PinnedRow& row : kPinnedRows) {
-    const PqeAnswer a = PinnedAnswer(row.name, row.mode);
+    const PqeAnswer a = PinnedAnswer(row.name);
     ASSERT_TRUE(a.automaton.has_value()) << row.name;
-    const std::string what =
-        std::string(row.name) +
-        (row.mode == KernelMode::kFast ? " (fast)" : " (exact)");
+    const std::string what = row.name;
     EXPECT_EQ(ProbabilityBits(a.probability), row.probability_bits)
         << what << ": p=" << a.probability;
     EXPECT_EQ(a.automaton->states, row.states) << what;

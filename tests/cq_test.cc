@@ -6,6 +6,7 @@
 #include "cq/builders.h"
 #include "cq/parser.h"
 #include "cq/query.h"
+#include "util/str_cat.h"
 
 namespace pqe {
 namespace {
@@ -13,7 +14,7 @@ namespace {
 Schema PathSchema(int n) {
   Schema schema;
   for (int i = 1; i <= n; ++i) {
-    EXPECT_TRUE(schema.AddRelation("R" + std::to_string(i), 2).ok());
+    EXPECT_TRUE(schema.AddRelation(StrCat("R", i), 2).ok());
   }
   return schema;
 }

@@ -1,11 +1,9 @@
-// Tests for the batched fast sampling kernels (docs/performance.md, "Kernel
-// modes"): block RNG generation must reproduce the scalar stream word for
-// word, AliasPicker draws must match the weight proportions (χ²), and the
-// kernel_mode=fast tier of every sampling layer (CountNFA, CountNFTA,
-// Karp–Luby, Monte Carlo, the engine) must stay inside the accuracy band of
-// an exact oracle while being fixed-seed reproducible and thread-count
-// invariant. kernel_mode=exact must remain bit-identical to the default
-// configuration — the fast tier must not perturb the golden path.
+// Tests for the batched sampling kernels (docs/performance.md, "Sampler"):
+// block RNG generation must reproduce the scalar stream word for word,
+// AliasPicker draws must match the weight proportions (χ²), and every
+// sampling layer (CountNFA, CountNFTA, Karp–Luby, Monte Carlo, the engine)
+// must stay inside the accuracy band of an exact oracle while being
+// fixed-seed reproducible and thread-count invariant.
 
 #include <cmath>
 #include <cstdint>
@@ -16,6 +14,7 @@
 #include "automata/nfa.h"
 #include "automata/nfta.h"
 #include "core/engine.h"
+#include "core/path_pqe.h"
 #include "counting/count_nfa.h"
 #include "counting/count_nfta.h"
 #include "counting/exact.h"
@@ -26,7 +25,6 @@
 #include "lineage/monte_carlo.h"
 #include "util/extfloat.h"
 #include "util/rng.h"
-#include "util/span.h"
 #include "workload/generators.h"
 
 namespace pqe {
@@ -51,21 +49,14 @@ TEST(RngBlockTest, FillBlockMatchesScalarNext) {
     }
     // And the scalar stream continues from where the blocks left off.
     ASSERT_EQ(block_rng.Next(), scalar_rng.Next());
-  }
-}
-
-TEST(RngBlockTest, DoubleBlockMatchesNextDouble) {
-  Rng block_rng(0xb10c);
-  Rng scalar_rng(0xb10c);
-  std::vector<uint64_t> words(100);
-  block_rng.FillBlock(words.data(), words.size());
-  DoubleBlock doubles{Span<uint64_t>(words)};
-  ASSERT_EQ(doubles.size(), words.size());
-  for (size_t i = 0; i < doubles.size(); ++i) {
-    const double d = doubles[i];
-    ASSERT_EQ(d, scalar_rng.NextDouble()) << "i " << i;
-    ASSERT_GE(d, 0.0);
-    ASSERT_LT(d, 1.0);
+    // DoubleFromWord maps each block word to the double NextDouble() draws.
+    Rng double_rng(seed);
+    block_rng = Rng(seed);
+    block_rng.FillBlock(words.data(), words.size());
+    for (size_t i = 0; i < words.size(); ++i) {
+      ASSERT_EQ(Rng::DoubleFromWord(words[i]), double_rng.NextDouble())
+          << "seed " << seed << " i " << i;
+    }
   }
 }
 
@@ -142,7 +133,7 @@ TEST(FastKernelsTest, AliasChiSquaredOnRandomTables) {
   }
 }
 
-// --- Counting-core fast tier vs exact oracles ----------------------------
+// --- Counting core vs exact oracles --------------------------------------
 
 // Strings over {a, b} containing at least one 'a', accepted ambiguously
 // (every 'a' position spawns a run): |L_n| = 2^n − 1.
@@ -172,12 +163,11 @@ Nfta CatalanNfta() {
   return t;
 }
 
-EstimatorConfig KernelConfig(uint64_t seed, KernelMode mode) {
+EstimatorConfig KernelConfig(uint64_t seed) {
   EstimatorConfig cfg;
   cfg.epsilon = 0.3;
   cfg.seed = seed;
   cfg.pool_size = 96;
-  cfg.kernel_mode = mode;
   return cfg;
 }
 
@@ -188,13 +178,11 @@ TEST(FastKernelsTest, CountNfaFastTracksExactOracle) {
   ASSERT_TRUE(exact.ok());
   const double exact_log2 = ExtFloat::FromBigUint(*exact).Log2();
   for (uint64_t seed = 1; seed <= 5; ++seed) {
-    auto fast = CountNfaStrings(a, n, KernelConfig(seed, KernelMode::kFast));
-    ASSERT_TRUE(fast.ok()) << fast.status().ToString();
-    EXPECT_NEAR(fast->value.Log2(), exact_log2, 0.6) << "seed " << seed;
-    EXPECT_GT(fast->stats.alias_builds, 0u);
-    EXPECT_GT(fast->stats.batch_draws, 0u);
-    // The fast tier routes every table through the alias picker.
-    EXPECT_EQ(fast->stats.picker_builds, 0u);
+    auto est = CountNfaStrings(a, n, KernelConfig(seed));
+    ASSERT_TRUE(est.ok()) << est.status().ToString();
+    EXPECT_NEAR(est->value.Log2(), exact_log2, 0.6) << "seed " << seed;
+    EXPECT_GT(est->stats.alias_builds, 0u);
+    EXPECT_GT(est->stats.batch_draws, 0u);
   }
 }
 
@@ -205,19 +193,18 @@ TEST(FastKernelsTest, CountNftaFastTracksExactOracle) {
   ASSERT_TRUE(exact.ok());
   const double exact_log2 = ExtFloat::FromBigUint(*exact).Log2();
   for (uint64_t seed = 1; seed <= 5; ++seed) {
-    auto fast = CountNftaTrees(t, n, KernelConfig(seed, KernelMode::kFast));
-    ASSERT_TRUE(fast.ok()) << fast.status().ToString();
-    EXPECT_NEAR(fast->value.Log2(), exact_log2, 0.6) << "seed " << seed;
-    EXPECT_GT(fast->stats.alias_builds, 0u);
-    EXPECT_GT(fast->stats.batch_draws, 0u);
-    EXPECT_EQ(fast->stats.picker_builds, 0u);
+    auto est = CountNftaTrees(t, n, KernelConfig(seed));
+    ASSERT_TRUE(est.ok()) << est.status().ToString();
+    EXPECT_NEAR(est->value.Log2(), exact_log2, 0.6) << "seed " << seed;
+    EXPECT_GT(est->stats.alias_builds, 0u);
+    EXPECT_GT(est->stats.batch_draws, 0u);
   }
 }
 
 TEST(FastKernelsTest, FastModeFixedSeedReproducible) {
   Nfta t = CatalanNfta();
-  auto a = CountNftaTrees(t, 11, KernelConfig(0xf00, KernelMode::kFast));
-  auto b = CountNftaTrees(t, 11, KernelConfig(0xf00, KernelMode::kFast));
+  auto a = CountNftaTrees(t, 11, KernelConfig(0xf00));
+  auto b = CountNftaTrees(t, 11, KernelConfig(0xf00));
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_EQ(a->value.ToString(), b->value.ToString());
   EXPECT_EQ(a->stats.attempts, b->stats.attempts);
@@ -225,11 +212,11 @@ TEST(FastKernelsTest, FastModeFixedSeedReproducible) {
 }
 
 TEST(FastKernelsTest, FastModeThreadCountInvariant) {
-  // Median-of-R amplification fans repetitions across threads; the fast
-  // tier keeps the per-repetition streams fixed by (seed, index), so the
-  // aggregate must be bit-identical at every thread count.
+  // Median-of-R amplification fans repetitions across threads; the
+  // per-repetition streams are fixed by (seed, index), so the aggregate
+  // must be bit-identical at every thread count.
   Nfta t = CatalanNfta();
-  EstimatorConfig serial = KernelConfig(0xbead, KernelMode::kFast);
+  EstimatorConfig serial = KernelConfig(0xbead);
   serial.repetitions = 5;
   serial.num_threads = 1;
   EstimatorConfig parallel = serial;
@@ -241,27 +228,7 @@ TEST(FastKernelsTest, FastModeThreadCountInvariant) {
   EXPECT_EQ(a->stats.attempts, b->stats.attempts);
 }
 
-TEST(FastKernelsTest, ExactModeUnchangedByKernelField) {
-  // kernel_mode=exact must be the same code path as a config that predates
-  // the field: estimates and stats bit-identical, no alias machinery.
-  Nfta t = CatalanNfta();
-  EstimatorConfig legacy_default;
-  legacy_default.epsilon = 0.3;
-  legacy_default.seed = 0x90d;
-  legacy_default.pool_size = 96;
-  auto base = CountNftaTrees(t, 11, legacy_default);
-  auto exact_mode =
-      CountNftaTrees(t, 11, KernelConfig(0x90d, KernelMode::kExact));
-  ASSERT_TRUE(base.ok() && exact_mode.ok());
-  EXPECT_EQ(exact_mode->value.ToString(), base->value.ToString());
-  EXPECT_EQ(exact_mode->stats.attempts, base->stats.attempts);
-  EXPECT_EQ(exact_mode->stats.accepted, base->stats.accepted);
-  EXPECT_EQ(exact_mode->stats.picker_builds, base->stats.picker_builds);
-  EXPECT_EQ(exact_mode->stats.alias_builds, 0u);
-  EXPECT_EQ(exact_mode->stats.batch_draws, 0u);
-}
-
-// --- Karp–Luby fast tier -------------------------------------------------
+// --- Karp–Luby ------------------------------------------------------------
 
 TEST(FastKernelsTest, KarpLubyFastWithinBandOfExact) {
   auto qi = MakePathQuery(3).MoveValue();
@@ -279,7 +246,6 @@ TEST(FastKernelsTest, KarpLubyFastWithinBandOfExact) {
   KarpLubyConfig cfg;
   cfg.epsilon = 0.05;
   cfg.seed = 3;
-  cfg.kernel_mode = KernelMode::kFast;
   auto kl = KarpLubyEstimate(lineage, pdb, cfg).MoveValue();
   EXPECT_NEAR(kl.probability / truth, 1.0, 0.15);
 
@@ -295,7 +261,7 @@ TEST(FastKernelsTest, KarpLubyFastWithinBandOfExact) {
   EXPECT_EQ(kl.hits, parallel.hits);
 }
 
-// --- Monte Carlo fast tier -----------------------------------------------
+// --- Monte Carlo -----------------------------------------------------------
 
 TEST(FastKernelsTest, MonteCarloFastMatchesExactProbability) {
   auto qi = MakePathQuery(2).MoveValue();
@@ -306,7 +272,6 @@ TEST(FastKernelsTest, MonteCarloFastMatchesExactProbability) {
   MonteCarloConfig cfg;
   cfg.seed = 21;
   cfg.num_samples = 200000;
-  cfg.kernel_mode = KernelMode::kFast;
   auto mc = MonteCarloPqe(qi.query, pdb, cfg).MoveValue();
   EXPECT_NEAR(mc.probability, 0.25, 0.01);
   MonteCarloConfig threaded = cfg;
@@ -330,58 +295,23 @@ TEST(FastKernelsTest, EngineFastModeEndToEnd) {
   pm.seed = 5;
   ProbabilisticDatabase pdb = AttachProbabilities(std::move(db), pm);
 
-  auto exact_opts = PqeEngine::Options::Builder()
-                        .Method(PqeMethod::kFpras)
-                        .Epsilon(0.25)
-                        .Seed(11)
-                        .Build()
-                        .MoveValue();
-  auto fast_opts = PqeEngine::Options::Builder(exact_opts)
-                       .Kernels(KernelMode::kFast)
-                       .Build()
-                       .MoveValue();
-  PqeEngine exact_engine(exact_opts);
-  PqeEngine fast_engine(fast_opts);
-  const EvalResponse exact_resp =
-      exact_engine.EvaluateRequest(EvalRequest::ForQuery(qi.query, pdb));
-  ASSERT_TRUE(exact_resp.status.ok()) << exact_resp.status.ToString();
-  const EvalResponse fast_resp =
-      fast_engine.EvaluateRequest(EvalRequest::ForQuery(qi.query, pdb));
-  ASSERT_TRUE(fast_resp.status.ok()) << fast_resp.status.ToString();
-  const PqeAnswer& exact = exact_resp.answer;
-  const PqeAnswer& fast = fast_resp.answer;
-  ASSERT_GT(exact.probability, 0.0);
-  ASSERT_GT(fast.probability, 0.0);
-  // Both tiers target the same ε band; their ratio stays within the
-  // combined envelope.
-  EXPECT_NEAR(std::log2(fast.probability / exact.probability), 0.0, 0.9);
-  ASSERT_TRUE(fast.count_stats.has_value());
-  EXPECT_GT(fast.count_stats->alias_builds, 0u);
-  EXPECT_GT(fast.count_stats->batch_draws, 0u);
-  ASSERT_TRUE(exact.count_stats.has_value());
-  EXPECT_EQ(exact.count_stats->alias_builds, 0u);
-
-  // The per-request override selects the fast tier on an exact-mode engine
-  // and must reproduce the fast engine's answer bit for bit.
-  EvalRequest req = EvalRequest::ForQuery(qi.query, pdb);
-  req.kernels = KernelMode::kFast;
-  req.seed = 11;
-  EvalResponse resp = exact_engine.EvaluateRequest(req);
-  ASSERT_TRUE(resp.status.ok());
-  EXPECT_EQ(resp.answer.probability, fast.probability);
-}
-
-TEST(FastKernelsTest, KernelModeStringsRoundTrip) {
-  EXPECT_STREQ(KernelModeToString(KernelMode::kExact), "exact");
-  EXPECT_STREQ(KernelModeToString(KernelMode::kFast), "fast");
-  auto exact = KernelModeFromString("exact");
-  ASSERT_TRUE(exact.ok());
-  EXPECT_EQ(*exact, KernelMode::kExact);
-  auto fast = KernelModeFromString("fast");
-  ASSERT_TRUE(fast.ok());
-  EXPECT_EQ(*fast, KernelMode::kFast);
-  auto bad = KernelModeFromString("warp");
-  EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
+  auto opts = PqeEngine::Options::Builder()
+                  .Method(PqeMethod::kFpras)
+                  .Epsilon(0.25)
+                  .Seed(11)
+                  .Build()
+                  .MoveValue();
+  const EvalResponse resp =
+      PqeEngine(opts).EvaluateRequest(EvalRequest::ForQuery(qi.query, pdb));
+  ASSERT_TRUE(resp.status.ok()) << resp.status.ToString();
+  const PqeAnswer& answer = resp.answer;
+  const double truth = PathPqeExact(qi.query, pdb).MoveValue().ToDouble();
+  ASSERT_GT(truth, 0.0);
+  ASSERT_GT(answer.probability, 0.0);
+  EXPECT_NEAR(std::log2(answer.probability / truth), 0.0, 0.6);
+  ASSERT_TRUE(answer.count_stats.has_value());
+  EXPECT_GT(answer.count_stats->alias_builds, 0u);
+  EXPECT_GT(answer.count_stats->batch_draws, 0u);
 }
 
 }  // namespace

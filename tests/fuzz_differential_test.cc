@@ -16,64 +16,15 @@
 #include "eval/eval.h"
 #include "lineage/compiled_wmc.h"
 #include "lineage/lineage.h"
+#include "random_instance.h"
 #include "util/rng.h"
 #include "workload/generators.h"
 
 namespace pqe {
 namespace {
 
-struct RandomInstance {
-  Schema schema;
-  ConjunctiveQuery query;
-  ProbabilisticDatabase pdb;
-};
-
-Result<RandomInstance> MakeRandomInstance(uint64_t seed) {
-  Rng rng(seed);
-  // Random connected self-join-free query: a spanning tree over variables
-  // plus optional unary labels and one optional cycle-closing edge.
-  const uint32_t num_vars = 2 + static_cast<uint32_t>(rng.NextBounded(4));
-  Schema schema;
-  std::vector<std::pair<std::string, std::vector<std::string>>> atoms;
-  uint32_t rel = 0;
-  auto var = [](uint32_t v) { return "v" + std::to_string(v); };
-  for (uint32_t v = 1; v < num_vars; ++v) {
-    const uint32_t parent = static_cast<uint32_t>(rng.NextBounded(v));
-    atoms.push_back({"E" + std::to_string(rel++), {var(parent), var(v)}});
-  }
-  if (rng.NextBernoulli(0.4)) {
-    atoms.push_back({"L" + std::to_string(rel++),
-                     {var(static_cast<uint32_t>(rng.NextBounded(num_vars)))}});
-  }
-  if (num_vars >= 3 && rng.NextBernoulli(0.3)) {
-    // Close a cycle (may push the width to 2).
-    atoms.push_back({"C" + std::to_string(rel++),
-                     {var(0), var(num_vars - 1)}});
-  }
-  for (const auto& [name, args] : atoms) {
-    PQE_RETURN_IF_ERROR(
-        schema.AddRelation(name, static_cast<uint32_t>(args.size()))
-            .status());
-  }
-  ConjunctiveQuery::Builder builder(&schema);
-  for (const auto& [name, args] : atoms) {
-    PQE_RETURN_IF_ERROR(builder.AddAtom(name, args));
-  }
-  PQE_ASSIGN_OR_RETURN(ConjunctiveQuery query, builder.Build());
-
-  RandomDatabaseOptions ropt;
-  ropt.domain_size = 2 + static_cast<uint32_t>(rng.NextBounded(2));
-  ropt.facts_per_relation = 2 + static_cast<uint32_t>(rng.NextBounded(2));
-  ropt.seed = seed * 31 + 7;
-  PQE_ASSIGN_OR_RETURN(Database db, MakeRandomDatabase(schema, ropt));
-  ProbabilityModel pm;
-  pm.kind = rng.NextBernoulli(0.5) ? ProbabilityModel::Kind::kRandomRational
-                                   : ProbabilityModel::Kind::kSkewed;
-  pm.max_denominator = 2 + rng.NextBounded(14);
-  pm.seed = seed * 13 + 3;
-  ProbabilisticDatabase pdb = AttachProbabilities(std::move(db), pm);
-  return RandomInstance{std::move(schema), std::move(query), std::move(pdb)};
-}
+using test::MakeRandomInstance;
+using test::RandomInstance;
 
 class FuzzDifferential : public ::testing::TestWithParam<uint64_t> {};
 

@@ -9,6 +9,7 @@
 #include "cq/parser.h"
 #include "hypertree/decomposition.h"
 #include "util/rng.h"
+#include "util/str_cat.h"
 
 namespace pqe {
 namespace {
@@ -69,16 +70,15 @@ Result<ConjunctiveQuery> MakeCliqueQuery(Schema* schema, uint32_t n) {
   for (uint32_t i = 0; i < n; ++i) {
     for (uint32_t j = i + 1; j < n; ++j) {
       PQE_RETURN_IF_ERROR(
-          schema->AddRelation("K" + std::to_string(rel++), 2).status());
+          schema->AddRelation(StrCat("K", rel++), 2).status());
     }
   }
   ConjunctiveQuery::Builder builder(schema);
   rel = 0;
   for (uint32_t i = 0; i < n; ++i) {
     for (uint32_t j = i + 1; j < n; ++j) {
-      PQE_RETURN_IF_ERROR(builder.AddAtom(
-          "K" + std::to_string(rel++),
-          {"x" + std::to_string(i), "x" + std::to_string(j)}));
+      PQE_RETURN_IF_ERROR(builder.AddAtom(StrCat("K", rel++),
+                                          {StrCat("x", i), StrCat("x", j)}));
     }
   }
   return builder.Build();
@@ -249,22 +249,22 @@ TEST_P(RandomQueryDecomposition, DecomposeValidates) {
   ConjunctiveQuery::Builder* builder = nullptr;
   std::vector<std::string> vars;
   for (uint32_t v = 0; v < num_vars; ++v) {
-    vars.push_back("v" + std::to_string(v));
+    vars.push_back(StrCat("v", v));
   }
   uint32_t rel = 0;
   std::vector<std::pair<std::string, std::vector<std::string>>> atoms;
   // Spanning chain keeps the query connected.
   for (uint32_t v = 0; v + 1 < num_vars; ++v) {
-    atoms.push_back({"E" + std::to_string(rel++), {vars[v], vars[v + 1]}});
+    atoms.push_back({StrCat("E", rel++), {vars[v], vars[v + 1]}});
   }
   // Extra random atoms.
   const uint32_t extra = static_cast<uint32_t>(rng.NextBounded(3));
   for (uint32_t i = 0; i < extra; ++i) {
     if (rng.NextBernoulli(0.5)) {
-      atoms.push_back({"L" + std::to_string(rel++),
+      atoms.push_back({StrCat("L", rel++),
                        {vars[rng.NextBounded(num_vars)]}});
     } else {
-      atoms.push_back({"E" + std::to_string(rel++),
+      atoms.push_back({StrCat("E", rel++),
                        {vars[rng.NextBounded(num_vars)],
                         vars[rng.NextBounded(num_vars)]}});
     }

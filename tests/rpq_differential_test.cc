@@ -2,8 +2,8 @@
 // concatenation-only regex IS a linear path query, and its answers must be
 // bit-identical to the legacy path_pqe route — same skeleton, same bind,
 // same sampler draws. Random instances sweep query length, graph shape, and
-// seeds; every comparison is memcmp on the probability's bits, in both
-// kernel modes, across thread counts, and through the serving layer.
+// seeds; every comparison is memcmp on the probability's bits, across
+// thread counts, and through the serving layer.
 
 #include <gtest/gtest.h>
 
@@ -70,29 +70,24 @@ void ExpectBitIdentical(const EvalResponse& a, const EvalResponse& b,
 TEST(RpqDifferentialTest, ConcatOnlyRegexMatchesPathRouteBitForBit) {
   for (uint64_t seed = 1; seed <= 12; ++seed) {
     Instance in = MakeInstance(seed);
-    for (KernelMode kernels : {KernelMode::kExact, KernelMode::kFast}) {
-      for (size_t threads : {size_t{1}, size_t{3}}) {
-        auto opts = PqeEngine::Options::Builder()
-                        .Method(PqeMethod::kFpras)
-                        .Epsilon(0.3)
-                        .Seed(0xd1f ^ seed)
-                        .PoolSize(32)
-                        .Repetitions(threads)  // exercise the parallel reps
-                        .NumThreads(threads)
-                        .Kernels(kernels)
-                        .Build();
-        ASSERT_TRUE(opts.ok());
-        PqeEngine engine(*opts);
-        const EvalResponse via_rpq =
-            engine.EvaluateRequest(EvalRequest::ForRpq(in.rpq, in.pdb));
-        const EvalResponse via_path =
-            engine.EvaluateRequest(EvalRequest::ForQuery(in.qi.query, in.pdb));
-        ExpectBitIdentical(
-            via_rpq, via_path,
-            "seed " + std::to_string(seed) + " kernels " +
-                KernelModeToString(kernels) + " threads " +
-                std::to_string(threads));
-      }
+    for (size_t threads : {size_t{1}, size_t{3}}) {
+      auto opts = PqeEngine::Options::Builder()
+                      .Method(PqeMethod::kFpras)
+                      .Epsilon(0.3)
+                      .Seed(0xd1f ^ seed)
+                      .PoolSize(32)
+                      .Repetitions(threads)  // exercise the parallel reps
+                      .NumThreads(threads)
+                      .Build();
+      ASSERT_TRUE(opts.ok());
+      PqeEngine engine(*opts);
+      const EvalResponse via_rpq =
+          engine.EvaluateRequest(EvalRequest::ForRpq(in.rpq, in.pdb));
+      const EvalResponse via_path =
+          engine.EvaluateRequest(EvalRequest::ForQuery(in.qi.query, in.pdb));
+      ExpectBitIdentical(via_rpq, via_path,
+                         "seed " + std::to_string(seed) + " threads " +
+                             std::to_string(threads));
     }
   }
 }

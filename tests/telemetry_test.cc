@@ -187,7 +187,6 @@ TEST(WorkloadRecordTest, FormatParseRoundTripIsExact) {
   record.labelling_hash = 0xdeadbeefcafef00dull;  // needs all 64 bits
   record.config_hash = 0xffffffffffffffffull;
   record.method = "fpras";
-  record.kernels = "fast";
   record.epsilon = 0.20000000000000001;  // not representable in few digits
   record.seed = 0x3c6ef372fe94f854ull;
   record.deadline_ms = 250;
@@ -206,7 +205,6 @@ TEST(WorkloadRecordTest, FormatParseRoundTripIsExact) {
   EXPECT_EQ(back->config_hash, record.config_hash);
   EXPECT_EQ(back->seed, record.seed);
   EXPECT_EQ(back->method, record.method);
-  EXPECT_EQ(back->kernels, record.kernels);
   EXPECT_EQ(back->deadline_ms, record.deadline_ms);
   EXPECT_EQ(back->status, record.status);
   // Doubles are written with max_digits10: bit-exact round-trip.
@@ -218,10 +216,13 @@ TEST(WorkloadRecordTest, FormatParseRoundTripIsExact) {
   EXPECT_FALSE(ParseWorkloadRecord("not json").ok());
   EXPECT_FALSE(ParseWorkloadRecord("[1,2,3]").ok());
 
-  // Pre-kernel-mode captures (no "kernels" key) load as the exact tier.
-  auto legacy = ParseWorkloadRecord(R"({"request_id":1,"status":"ok"})");
+  // The writer no longer emits "kernels"; a record carrying the key (as
+  // earlier versions wrote) still parses.
+  EXPECT_EQ(line.find("kernels"), std::string::npos);
+  auto legacy = ParseWorkloadRecord(
+      R"({"request_id":1,"kernels":"fast","status":"ok"})");
   ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
-  EXPECT_EQ(legacy->kernels, "exact");
+  EXPECT_EQ(legacy->request_id, 1u);
 }
 
 TEST(WorkloadRecordTest, LoadWorkloadFileSkipsBlanksAndNumbersErrors) {
@@ -537,6 +538,47 @@ TEST(ReplayTest, DriftAndUnreplayableRecordsAreCountedNotCompared) {
   EXPECT_FALSE(report->Clean());  // parse failures are never clean
   const std::string summary = report->Summary();
   EXPECT_NE(summary.find("5 records"), std::string::npos) << summary;
+}
+
+TEST(ReplayTest, CaptureFromTheTwoTierSamplerReplaysAsConfigDrift) {
+  // A line captured by the version that still had the scalar sampling tier
+  // (same fixture and options), verbatim: its config_hash predates the
+  // sampler tag in HashEngineConfig, and it carries the "kernels" key that
+  // version wrote. The same line without the key is what versions before
+  // that wrote. Either way the record must run as config drift — never be
+  // compared against the current sampler's answer, never fail to parse.
+  const std::string with_kernels =
+      R"json({"request_id":1,"target":"query","query":"R1(x1,x2), )json"
+      R"json(R2(x2,x3), R3(x3,x4)","labelling_hash":"0xb9e6e3b58de7c2b5",)json"
+      R"json("config_hash":"0x9c4e70cbeec34869","method":"fpras",)json"
+      R"json("kernels":"exact","epsilon":0.29999999999999999,)json"
+      R"json("seed":"0x3c6ef372fe95f717","deadline_ms":0,"status":"ok",)json"
+      R"json("probability":1})json";
+  std::string without_kernels = with_kernels;
+  const std::string key = R"("kernels":"exact",)";
+  without_kernels.erase(without_kernels.find(key), key.size());
+
+  Fixture fx = MakeFixture(100);
+  PqeService::Options sopt;
+  sopt.engine = TestOptions();
+  sopt.num_threads = 1;
+  PqeService service(sopt);
+  std::vector<WorkloadRecord> records;
+  for (const std::string& line : {with_kernels, without_kernels}) {
+    auto record = ParseWorkloadRecord(line);
+    ASSERT_TRUE(record.ok()) << record.status().ToString();
+    EXPECT_EQ(record->labelling_hash, HashLabelling(fx.pdb));
+    EXPECT_NE(record->config_hash, HashEngineConfig(sopt.engine));
+    records.push_back(*record);
+  }
+  auto report = ReplayWorkload(service, fx.pdb, records);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->total, 2u);
+  EXPECT_EQ(report->config_drift, 2u);
+  EXPECT_EQ(report->replayed, 0u);
+  EXPECT_EQ(report->mismatched, 0u);
+  EXPECT_EQ(report->parse_failures, 0u);
+  EXPECT_TRUE(report->Clean());
 }
 
 }  // namespace

@@ -225,17 +225,6 @@ TEST(RngTest, DoubleInUnitInterval) {
   }
 }
 
-TEST(RngTest, DiscreteRespectsWeights) {
-  Rng rng(3);
-  std::vector<double> weights = {0.0, 1.0, 3.0};
-  int counts[3] = {0, 0, 0};
-  for (int i = 0; i < 20000; ++i) ++counts[rng.NextDiscrete(weights)];
-  EXPECT_EQ(counts[0], 0);
-  // Index 2 should be drawn ~3x as often as index 1.
-  const double ratio = static_cast<double>(counts[2]) / counts[1];
-  EXPECT_NEAR(ratio, 3.0, 0.4);
-}
-
 TEST(RngTest, BernoulliEdgeCases) {
   Rng rng(4);
   EXPECT_FALSE(rng.NextBernoulli(0.0));
