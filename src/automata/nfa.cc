@@ -114,24 +114,6 @@ std::vector<bool> Nfa::StatesAfter(const std::vector<SymbolId>& word) const {
   return current;
 }
 
-void Nfa::ActiveStep(const std::vector<StateId>& current, SymbolId symbol,
-                     std::vector<StateId>* next) const {
-  EnsureAdjacency();
-  next->clear();
-  const uint32_t* idx = out_idx_.data();
-  const Transition* trans = transitions_.data();
-  for (StateId s : current) {
-    const uint32_t begin = out_offsets_[s];
-    const uint32_t end = out_offsets_[s + 1];
-    for (uint32_t i = begin; i < end; ++i) {
-      const Transition& t = trans[idx[i]];
-      if (t.symbol == symbol) next->push_back(t.to);
-    }
-  }
-  std::sort(next->begin(), next->end());
-  next->erase(std::unique(next->begin(), next->end()), next->end());
-}
-
 bool Nfa::Accepts(const std::vector<SymbolId>& word) const {
   std::vector<bool> states = StatesAfter(word);
   for (StateId s = 0; s < num_states_; ++s) {

@@ -81,13 +81,6 @@ class Nfa {
   /// by reading `word`, as a bitvector indexed by StateId.
   std::vector<bool> StatesAfter(const std::vector<SymbolId>& word) const;
 
-  /// One step of the sparse subset simulation: the sorted successor set of
-  /// the sorted state set `current` under `symbol`, written into `*next`
-  /// (scratch-friendly: reuses next's capacity). Exposed for the counting
-  /// layer's memoized membership oracle.
-  void ActiveStep(const std::vector<StateId>& current, SymbolId symbol,
-                  std::vector<StateId>* next) const;
-
   /// Standard acceptance test.
   bool Accepts(const std::vector<SymbolId>& word) const;
 

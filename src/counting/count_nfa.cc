@@ -1,7 +1,8 @@
 #include "counting/count_nfa.h"
 
 #include <algorithm>
-#include <map>
+#include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "counting/median_of_r.h"
@@ -20,13 +21,64 @@ namespace {
 // resident in L1 while the acceptance pass runs.
 constexpr size_t kDrawBatch = 256;
 
+// Stratum id of a (length, state) pair that is not live.
+constexpr uint32_t kDead = UINT32_MAX;
+
+// Reach sets are stored back to back in blocks of this many states (64 KB),
+// or of the next power of two >= |S| when that is larger, so a set never
+// spans two blocks. Fixed-size blocks, not one growing buffer: a multi-MB
+// buffer cannot reuse the holes a long-lived process leaves in its heap.
+constexpr size_t kArenaBlockStates = size_t{1} << 14;
+
 // A pooled sample of A(q, l), stored as a derivation reference: the incoming
 // transition taken and the index of the prefix sample in the predecessor
 // stratum's pool. Strings are never materialized, so pools cost O(1) memory
-// per sample.
-struct SampleRef {
+// per sample. The entry also carries its memoized reach set (see
+// ReachStates): an (offset, length) slice of the reach-set arena. Every
+// reach set contains q, so length 0 doubles as the "uncomputed" sentinel.
+struct PoolEntry {
   uint32_t transition = 0;  // index into nfa.transitions()
-  uint32_t prefix = 0;      // index into pool[from][l-1]
+  uint32_t prefix = 0;      // index into the predecessor stratum's pool
+  uint32_t memo_off = 0;
+  uint32_t memo_len = 0;
+};
+
+// A live stratum (q, l): its estimate of |A(q, l)| and its sample pool,
+// reserved at the pool target in one block.
+struct Stratum {
+  StateId state = 0;
+  ExtFloat estimate;
+  std::vector<PoolEntry> pool;
+};
+
+// An incoming transition of the stratum being processed whose predecessor
+// stratum is live with a non-zero estimate.
+struct InEdge {
+  SymbolId symbol;
+  uint32_t transition;
+  StateId from;
+  uint32_t pred;  // predecessor stratum id
+  ExtFloat weight;
+};
+
+// A same-symbol group of in-edges: a contiguous run of the sorted edges,
+// with its accepted canonical hits as a run of the accepted-sample scratch.
+struct Group {
+  uint32_t begin = 0;
+  uint32_t end = 0;
+  ExtFloat weight_sum;
+  ExtFloat estimate;
+  uint32_t accepted_begin = 0;
+  uint32_t accepted_end = 0;
+
+  bool singleton() const { return end - begin == 1; }
+  uint32_t accepted() const { return accepted_end - accepted_begin; }
+};
+
+// One outgoing transition as the subset step reads it.
+struct OutEdge {
+  SymbolId symbol;
+  StateId to;
 };
 
 class NfaCounter {
@@ -39,31 +91,25 @@ class NfaCounter {
         cancel_(config.cancel) {}
 
   Result<CountEstimate> Run() {
-    const size_t S = nfa_.NumStates();
     if (nfa_.initial_states().empty()) {
       return CountEstimate{ExtFloat(), stats_};
     }
     if (Cancelled()) return DeadlineError(0);
     pool_target_ = config_.ResolvePoolSize(n_);
-    reach_memo_.assign(n_ + 1, MemoLevel(S));
-
-    ComputeFeasibility();
-
-    est_.assign(n_ + 1, std::vector<ExtFloat>(S));
-    pools_.assign(n_ + 1, std::vector<std::vector<SampleRef>>(S));
-    // Level 0: A(q, 0) = {λ} iff q is initial.
-    for (StateId q = 0; q < S; ++q) {
-      if (nfa_.IsInitial(q) && live_[0][q]) {
-        est_[0][q] = ExtFloat::FromUint64(1);
-        pools_[0][q].push_back(SampleRef{});  // the empty string
-      }
+    BuildStrata();
+    BuildStepIndex();
+    // Level 0: A(q, 0) = {λ} iff q is initial, and only initial states are
+    // live at level 0.
+    for (uint32_t id = level_begin_[0]; id < level_begin_[1]; ++id) {
+      strata_[id].estimate = ExtFloat::FromUint64(1);
+      strata_[id].pool.push_back(PoolEntry{});  // the empty string
     }
     for (size_t l = 1; l <= n_; ++l) {
       // One cancellation poll per length stratum, plus finer-grained polls
       // in the rejection loops (an attempt budget can dominate a stratum).
       if (Cancelled()) return DeadlineError(l);
-      for (StateId q = 0; q < S; ++q) {
-        if (live_[l][q]) ProcessStratum(q, l);
+      for (uint32_t id = level_begin_[l]; id < level_begin_[l + 1]; ++id) {
+        ProcessStratum(id, l);
       }
       if (cancel_ != nullptr) cancel_->AddProgress(1);
     }
@@ -74,9 +120,12 @@ class NfaCounter {
   }
 
  private:
-  // live_[l][q]: A(q, l) is non-empty AND the stratum can still contribute to
-  // an accepting state at length n (forward-feasible ∧ backward-useful).
-  void ComputeFeasibility() {
+  // The stratum index. A(q, l) is live when it is non-empty AND can still
+  // contribute to an accepting state at length n (forward-feasible ∧
+  // backward-useful). Live strata get ids in (l, q) order, so level l's
+  // strata are the id range [level_begin_[l], level_begin_[l + 1]) in
+  // ascending state order; stratum_of_[l][q] maps back (kDead if not live).
+  void BuildStrata() {
     const size_t S = nfa_.NumStates();
     std::vector<std::vector<bool>> fwd(n_ + 1, std::vector<bool>(S, false));
     for (StateId q : nfa_.initial_states()) fwd[0][q] = true;
@@ -98,80 +147,127 @@ class NfaCounter {
         }
       }
     }
-    live_.assign(n_ + 1, std::vector<bool>(S, false));
+    stratum_of_.assign(n_ + 1, std::vector<uint32_t>(S, kDead));
+    level_begin_.assign(n_ + 2, 0);
     for (size_t l = 0; l <= n_; ++l) {
+      level_begin_[l] = static_cast<uint32_t>(strata_.size());
       for (StateId q = 0; q < S; ++q) {
-        live_[l][q] = fwd[l][q] && bwd[l][q];
-        ++stats_.strata_total;
-        if (live_[l][q]) ++stats_.strata_live;
+        if (!fwd[l][q] || !bwd[l][q]) continue;
+        stratum_of_[l][q] = static_cast<uint32_t>(strata_.size());
+        strata_.push_back(Stratum{q, ExtFloat(), {}});
       }
+    }
+    level_begin_[n_ + 1] = static_cast<uint32_t>(strata_.size());
+    stats_.strata_total = (n_ + 1) * S;
+    stats_.strata_live = strata_.size();
+  }
+
+  // The subset step's inputs: a CSR of (symbol, to) by source state, and
+  // the arena's block size.
+  void BuildStepIndex() {
+    const size_t S = nfa_.NumStates();
+    const Nfa::Transition* trans = nfa_.transitions().data();
+    out_begin_.assign(S + 1, 0);
+    out_edges_.reserve(nfa_.NumTransitions());
+    for (StateId s = 0; s < S; ++s) {
+      out_begin_[s] = static_cast<uint32_t>(out_edges_.size());
+      for (uint32_t idx : nfa_.OutTransitions(s)) {
+        out_edges_.push_back(OutEdge{trans[idx].symbol, trans[idx].to});
+      }
+    }
+    out_begin_[S] = static_cast<uint32_t>(out_edges_.size());
+    step_.reserve(S);
+    while ((size_t{1} << block_shift_) < std::max(kArenaBlockStates, S)) {
+      ++block_shift_;
     }
   }
 
   // Memoized membership oracle: the sorted set of states the automaton can
-  // be in after reading the string of pools_[l][q][idx], keyed by the
-  // derivation reference itself — pools are append-only and only finalized
-  // strata are referenced, so entries never invalidate within a run. Shared
-  // prefixes across draws (and across strata: every ref chain ends in the
-  // same low strata) are simulated once instead of per check. Every reach
-  // set contains q, so an empty vector doubles as the "uncomputed" sentinel.
-  const std::vector<StateId>& ReachStates(StateId q, size_t l, uint32_t idx) {
+  // be in after reading the string of pool entry `idx` of stratum `id` (at
+  // length l), keyed by the pool slot itself — pools are append-only and
+  // only finalized strata are referenced, so entries never invalidate within
+  // a run. Shared prefixes across draws (and across strata: every ref chain
+  // ends in the same low strata) are simulated once instead of per check.
+  Span<StateId> ReachStates(uint32_t id, size_t l, uint32_t idx) {
     const Nfa::Transition* trans = nfa_.transitions().data();
     // Walk the ref chain down to the first memoized suffix (or level 0),
     // recording the uncomputed links.
     chain_.clear();
-    size_t cur_l = l;
-    StateId cur_q = q;
-    uint32_t cur_idx = idx;
+    PoolEntry* entry = &strata_[id].pool[idx];
     while (true) {
-      std::vector<std::vector<StateId>>& slots = reach_memo_[cur_l][cur_q];
-      if (slots.size() < pools_[cur_l][cur_q].size()) {
-        slots.resize(pools_[cur_l][cur_q].size());
-      }
-      if (cur_l == 0) {
-        if (slots[cur_idx].empty()) {
-          ++stats_.runstates_memo_misses;
-          std::vector<StateId> base = nfa_.initial_states();
-          std::sort(base.begin(), base.end());
-          slots[cur_idx] = std::move(base);
-        } else {
-          ++stats_.runstates_memo_hits;
-        }
-        break;
-      }
-      if (!slots[cur_idx].empty()) {
+      if (entry->memo_len != 0) {
         ++stats_.runstates_memo_hits;
         break;
       }
       ++stats_.runstates_memo_misses;
-      chain_.push_back(ChainLink{cur_l, cur_q, cur_idx});
-      const SampleRef& ref = pools_[cur_l][cur_q][cur_idx];
-      const Nfa::Transition& t = trans[ref.transition];
-      cur_q = t.from;
-      cur_idx = ref.prefix;
-      --cur_l;
+      if (l == 0) {
+        SetInitialReach(entry);
+        break;
+      }
+      chain_.push_back(entry);
+      const Nfa::Transition& t = trans[entry->transition];
+      entry = &strata_[stratum_of_[l - 1][t.from]].pool[entry->prefix];
+      --l;
     }
     // Replay upward: one subset-simulation step per uncomputed link.
     for (size_t i = chain_.size(); i-- > 0;) {
-      const ChainLink& link = chain_[i];
-      const SampleRef& ref = pools_[link.l][link.q][link.idx];
-      const Nfa::Transition& t = trans[ref.transition];
-      const std::vector<StateId>& prev =
-          reach_memo_[link.l - 1][t.from][ref.prefix];
-      nfa_.ActiveStep(prev, t.symbol, &step_scratch_);
-      reach_memo_[link.l][link.q][link.idx] = step_scratch_;
+      Step(*entry, trans[chain_[i]->transition].symbol, chain_[i]);
+      entry = chain_[i];
     }
-    return reach_memo_[l][q][idx];
+    return Span<StateId>(ArenaAt(entry->memo_off), entry->memo_len);
   }
 
-  // A same-symbol group of incoming transitions (see ProcessStratum).
-  struct Group {
-    std::vector<uint32_t> transitions;
-    std::vector<ExtFloat> weights;
-    ExtFloat weight_sum;
-    ExtFloat estimate;
-    std::vector<SampleRef> accepted;
-  };
+  // The reach set of the empty string: the initial states, stored once and
+  // shared by every level-0 pool entry.
+  void SetInitialReach(PoolEntry* entry) {
+    if (initial_reach_.memo_len == 0) {
+      step_.assign(nfa_.initial_states().begin(),
+                   nfa_.initial_states().end());
+      std::sort(step_.begin(), step_.end());
+      Store(&initial_reach_);
+    }
+    entry->memo_off = initial_reach_.memo_off;
+    entry->memo_len = initial_reach_.memo_len;
+  }
+
+  // One step of the sparse subset simulation: the successors of `prev`'s
+  // reach set under `symbol`, sorted, stored as `next`'s reach set.
+  void Step(const PoolEntry& prev, SymbolId symbol, PoolEntry* next) {
+    step_.clear();
+    const StateId* set = ArenaAt(prev.memo_off);
+    for (uint32_t i = 0; i < prev.memo_len; ++i) {
+      const StateId s = set[i];
+      for (uint32_t k = out_begin_[s]; k < out_begin_[s + 1]; ++k) {
+        const OutEdge& o = out_edges_[k];
+        if (o.symbol == symbol) step_.push_back(o.to);
+      }
+    }
+    std::sort(step_.begin(), step_.end());
+    step_.erase(std::unique(step_.begin(), step_.end()), step_.end());
+    Store(next);
+  }
+
+  // Appends step_ to the arena as `entry`'s reach set.
+  void Store(PoolEntry* entry) {
+    const size_t block_states = size_t{1} << block_shift_;
+    const size_t len = step_.size();
+    if (blocks_.empty() || block_fill_ + len > block_states) {
+      PQE_CHECK((blocks_.size() + 1) * block_states <= (size_t{1} << 32));
+      blocks_.push_back(
+          std::make_unique_for_overwrite<StateId[]>(block_states));
+      block_fill_ = 0;
+    }
+    std::copy(step_.begin(), step_.end(), blocks_.back().get() + block_fill_);
+    entry->memo_off = static_cast<uint32_t>(
+        (blocks_.size() - 1) * block_states + block_fill_);
+    entry->memo_len = static_cast<uint32_t>(len);
+    block_fill_ += len;
+  }
+
+  const StateId* ArenaAt(uint32_t off) const {
+    return blocks_[off >> block_shift_].get() +
+           (off & ((uint32_t{1} << block_shift_) - 1));
+  }
 
   // Builds the alias table the next draw loop picks from, reusing capacity.
   void BuildPicker(const std::vector<ExtFloat>& weights) {
@@ -179,48 +275,38 @@ class NfaCounter {
     ++stats_.alias_builds;
   }
 
-  // Canonical check: the chosen transition must be the first (by transition
-  // index) in the group whose predecessor state can be reached on the
-  // sampled prefix — decided exactly by simulation, memoized over the
-  // derivation ref.
-  bool IsCanonical(const Group& g, const SampleRef& candidate, size_t l) {
-    const Nfa::Transition* trans = nfa_.transitions().data();
-    const Nfa::Transition& t = trans[candidate.transition];
+  // Canonical check: the chosen in-edge must be the first in its group whose
+  // predecessor state can be reached on the sampled prefix — decided exactly
+  // by simulation, memoized over the derivation ref.
+  bool IsCanonical(const Group& g, uint32_t edge, uint32_t prefix, size_t l) {
     ++stats_.membership_checks;
-    const std::vector<StateId>& reach =
-        ReachStates(t.from, l - 1, candidate.prefix);
-    uint32_t canonical = candidate.transition;
-    for (uint32_t other_idx : g.transitions) {
-      const Nfa::Transition& o = trans[other_idx];
-      if (std::binary_search(reach.begin(), reach.end(), o.from)) {
-        canonical = other_idx;
-        break;
+    const Span<StateId> reach = ReachStates(edges_[edge].pred, l - 1, prefix);
+    for (uint32_t k = g.begin; k < g.end; ++k) {
+      if (std::binary_search(reach.begin(), reach.end(), edges_[k].from)) {
+        return k == edge;
       }
     }
-    return canonical == candidate.transition;
+    return true;
   }
 
   // Batched draw: fills the SoA candidate arenas with `batch` draws —
   // one alias pick plus one multiply-shift prefix index each — from a single
   // contiguous block of raw RNG words. cand_valid_[i] is 0 when the picked
-  // transition's predecessor pool is empty (still counted as an attempt).
-  void DrawCandidateBatch(const std::vector<uint32_t>& transitions,
-                          size_t batch, size_t l) {
-    const Nfa::Transition* trans = nfa_.transitions().data();
+  // edge's predecessor pool is empty (still counted as an attempt).
+  void DrawCandidateBatch(const Group& g, size_t batch) {
     words_.resize(2 * batch);
     rng_.FillBlock(words_.data(), 2 * batch);
     ++stats_.batch_draws;
     BatchSizeHist().Observe(batch);
-    cand_trans_.resize(batch);
+    cand_edge_.resize(batch);
     cand_prefix_.resize(batch);
     cand_valid_.assign(batch, 0);
     for (size_t i = 0; i < batch; ++i) {
-      const size_t pick =
-          picker_.PickFromDouble(Rng::DoubleFromWord(words_[2 * i]));
-      const uint32_t trans_idx = transitions[pick];
-      const auto& prev_pool = pools_[l - 1][trans[trans_idx].from];
+      const uint32_t edge = g.begin + static_cast<uint32_t>(
+          picker_.PickFromDouble(Rng::DoubleFromWord(words_[2 * i])));
+      const std::vector<PoolEntry>& prev_pool = strata_[edges_[edge].pred].pool;
       if (prev_pool.empty()) continue;
-      cand_trans_[i] = trans_idx;
+      cand_edge_[i] = edge;
       cand_prefix_[i] = static_cast<uint32_t>(
           Rng::BoundedFromWord(words_[2 * i + 1], prev_pool.size()));
       cand_valid_[i] = 1;
@@ -235,48 +321,69 @@ class NfaCounter {
     return *batch_hist_;
   }
 
+  // Collects stratum `id`'s in-edges and splits them into same-symbol
+  // groups, in symbol order; within a group the edges keep in-transition
+  // order, which fixes both the weight-sum order and the canonical order.
+  void BuildGroups(uint32_t id, size_t l) {
+    const Nfa::Transition* trans = nfa_.transitions().data();
+    const std::vector<uint32_t>& prev_row = stratum_of_[l - 1];
+    edges_.clear();
+    for (uint32_t idx : nfa_.InTransitions(strata_[id].state)) {
+      const Nfa::Transition& t = trans[idx];
+      const uint32_t pred = prev_row[t.from];
+      if (pred == kDead) continue;
+      const ExtFloat& w = strata_[pred].estimate;
+      if (w.IsZero()) continue;
+      edges_.push_back(InEdge{t.symbol, idx, t.from, pred, w});
+    }
+    // In-transitions come in ascending transition index, so sorting by
+    // (symbol, transition) is a stable sort by symbol, without
+    // std::stable_sort's buffer allocation.
+    std::sort(edges_.begin(), edges_.end(),
+              [](const InEdge& a, const InEdge& b) {
+                return a.symbol != b.symbol ? a.symbol < b.symbol
+                                            : a.transition < b.transition;
+              });
+    groups_.clear();
+    for (uint32_t begin = 0; begin < edges_.size();) {
+      Group g;
+      g.begin = begin;
+      g.end = begin;
+      while (g.end < edges_.size() &&
+             edges_[g.end].symbol == edges_[begin].symbol) {
+        g.weight_sum = g.weight_sum.Add(edges_[g.end].weight);
+        ++g.end;
+      }
+      groups_.push_back(g);
+      begin = g.end;
+    }
+  }
+
   // Stratum estimate for A(q, l) = ∪_t A(from(t), l−1)·symbol(t).
   // Transitions with distinct symbols append distinct last characters, so
   // the union decomposes into an exact sum over symbol groups; only within
   // a group of same-symbol incoming transitions is the Karp–Luby canonical-
   // witness estimator (with its exact prefix-membership oracle) needed.
-  void ProcessStratum(StateId q, size_t l) {
-    const Nfa::Transition* trans = nfa_.transitions().data();
-    std::map<SymbolId, Group> groups;
-    for (uint32_t idx : nfa_.InTransitions(q)) {
-      const Nfa::Transition& t = trans[idx];
-      if (!live_[l - 1][t.from]) continue;
-      const ExtFloat& w = est_[l - 1][t.from];
-      if (w.IsZero()) continue;
-      Group& g = groups[t.symbol];
-      g.transitions.push_back(idx);
-      g.weights.push_back(w);
-      g.weight_sum = g.weight_sum.Add(w);
-    }
-    if (groups.empty()) return;  // estimate stays 0
+  void ProcessStratum(uint32_t id, size_t l) {
+    BuildGroups(id, l);
+    if (groups_.empty()) return;  // estimate stays 0
 
-    // Draws one candidate for the forced-sample fallback; false when the
-    // predecessor pool is empty.
-    auto DrawRef = [&](uint32_t trans_idx, SampleRef* out) {
-      const Nfa::Transition& t = trans[trans_idx];
-      const auto& prev_pool = pools_[l - 1][t.from];
-      if (prev_pool.empty()) return false;
-      out->transition = trans_idx;
-      out->prefix =
-          static_cast<uint32_t>(rng_.NextBounded(prev_pool.size()));
-      return true;
-    };
-
+    accepted_.clear();
     ExtFloat total_estimate;
-    for (auto& [symbol, g] : groups) {
-      (void)symbol;
-      if (g.transitions.size() == 1) {
+    for (Group& g : groups_) {
+      g.accepted_begin = static_cast<uint32_t>(accepted_.size());
+      g.accepted_end = g.accepted_begin;
+      if (g.singleton()) {
         g.estimate = g.weight_sum;  // no overlap possible
         total_estimate = total_estimate.Add(g.estimate);
         continue;
       }
       // One picker build per group, reused across the whole rejection loop.
-      BuildPicker(g.weights);
+      weights_.clear();
+      for (uint32_t k = g.begin; k < g.end; ++k) {
+        weights_.push_back(edges_[k].weight);
+      }
+      BuildPicker(weights_);
       const size_t max_attempts = config_.attempt_factor * pool_target_ + 64;
       size_t attempts = 0;
       // Batched SoA kernel: draw a block of candidates at once, then run
@@ -284,53 +391,59 @@ class NfaCounter {
       // counts as attempts even when the pool target is crossed mid-batch
       // — the extra canonical hits just enrich the resample pool, and
       // accepted/attempts stays a per-attempt acceptance-rate estimate.
-      while (g.accepted.size() < pool_target_ && attempts < max_attempts) {
+      while (accepted_.size() - g.accepted_begin < pool_target_ &&
+             attempts < max_attempts) {
         if (Cancelled()) break;
         const size_t batch = std::min(kDrawBatch, max_attempts - attempts);
-        DrawCandidateBatch(g.transitions, batch, l);
+        DrawCandidateBatch(g, batch);
         for (size_t i = 0; i < batch; ++i) {
           if (cand_valid_[i] == 0) continue;
-          const SampleRef candidate{cand_trans_[i], cand_prefix_[i]};
-          if (IsCanonical(g, candidate, l)) g.accepted.push_back(candidate);
+          if (IsCanonical(g, cand_edge_[i], cand_prefix_[i], l)) {
+            accepted_.push_back(
+                PoolEntry{edges_[cand_edge_[i]].transition, cand_prefix_[i]});
+          }
         }
         attempts += batch;
       }
+      g.accepted_end = static_cast<uint32_t>(accepted_.size());
       stats_.attempts += attempts;
-      stats_.accepted += g.accepted.size();
-      if (g.accepted.empty()) {
+      stats_.accepted += g.accepted();
+      if (g.accepted() == 0) {
         // Statistically negligible when attempts >> group size (acceptance
         // is >= 1/|group|); force one biased sample so a live stratum never
         // reports a false zero.
         ++stats_.forced_samples;
-        const size_t pick = picker_.Pick(&rng_);
-        SampleRef forced;
-        if (DrawRef(g.transitions[pick], &forced)) {
-          g.accepted.push_back(forced);
+        const InEdge& e = edges_[g.begin + picker_.Pick(&rng_)];
+        const std::vector<PoolEntry>& prev_pool = strata_[e.pred].pool;
+        if (!prev_pool.empty()) {
+          accepted_.push_back(PoolEntry{
+              e.transition,
+              static_cast<uint32_t>(rng_.NextBounded(prev_pool.size()))});
+          g.accepted_end = static_cast<uint32_t>(accepted_.size());
           g.estimate = g.weight_sum.Scale(
               1.0 / static_cast<double>(attempts + 1));
         }
       } else {
-        g.estimate = g.weight_sum.Scale(
-            static_cast<double>(g.accepted.size()) /
-            static_cast<double>(attempts));
+        g.estimate = g.weight_sum.Scale(static_cast<double>(g.accepted()) /
+                                        static_cast<double>(attempts));
       }
       total_estimate = total_estimate.Add(g.estimate);
     }
-    est_[l][q] = total_estimate;
+    Stratum& stratum = strata_[id];
+    stratum.estimate = total_estimate;
     if (total_estimate.IsZero()) return;
 
     // Pool: mixture over groups proportional to their estimates; singleton
     // groups draw fresh, overlapping groups resample their canonical hits.
-    std::vector<const Group*> group_list;
-    std::vector<ExtFloat> group_weights;
-    for (const auto& [symbol, g] : groups) {
-      (void)symbol;
-      if (g.estimate.IsZero()) continue;
-      group_list.push_back(&g);
-      group_weights.push_back(g.estimate);
+    group_list_.clear();
+    weights_.clear();
+    for (uint32_t gi = 0; gi < groups_.size(); ++gi) {
+      if (groups_[gi].estimate.IsZero()) continue;
+      group_list_.push_back(gi);
+      weights_.push_back(groups_[gi].estimate);
     }
-    if (group_list.size() > 1) BuildPicker(group_weights);
-    auto& pool = pools_[l][q];
+    if (group_list_.size() > 1) BuildPicker(weights_);
+    std::vector<PoolEntry>& pool = stratum.pool;
     pool.reserve(pool_target_);
     // Batched mixture: one word for the group pick, one for the index
     // within the group (fresh prefix for singleton groups, canonical-hit
@@ -343,22 +456,21 @@ class NfaCounter {
       BatchSizeHist().Observe(batch);
       for (size_t i = 0; i < batch; ++i) {
         const Group& g =
-            group_list.size() == 1
-                ? *group_list[0]
-                : *group_list[picker_.PickFromDouble(
-                      Rng::DoubleFromWord(words_[2 * i]))];
+            groups_[group_list_.size() == 1
+                        ? group_list_[0]
+                        : group_list_[picker_.PickFromDouble(
+                              Rng::DoubleFromWord(words_[2 * i]))]];
         const uint64_t word = words_[2 * i + 1];
-        if (g.transitions.size() == 1) {
-          const auto& prev_pool =
-              pools_[l - 1][trans[g.transitions[0]].from];
+        if (g.singleton()) {
+          const InEdge& e = edges_[g.begin];
+          const std::vector<PoolEntry>& prev_pool = strata_[e.pred].pool;
           if (prev_pool.empty()) continue;
-          pool.push_back(SampleRef{
-              g.transitions[0],
-              static_cast<uint32_t>(
-                  Rng::BoundedFromWord(word, prev_pool.size()))});
-        } else if (!g.accepted.empty()) {
-          pool.push_back(g.accepted[Rng::BoundedFromWord(
-              word, g.accepted.size())]);
+          pool.push_back(PoolEntry{
+              e.transition, static_cast<uint32_t>(Rng::BoundedFromWord(
+                                word, prev_pool.size()))});
+        } else if (g.accepted() != 0) {
+          pool.push_back(accepted_[g.accepted_begin +
+                                   Rng::BoundedFromWord(word, g.accepted())]);
         }
       }
       done += batch;
@@ -369,13 +481,14 @@ class NfaCounter {
   // |L_n| = |∪_{q ∈ F} A(q, n)| via the same canonical-witness estimator
   // (canonical = smallest accepting state reachable on the string).
   Result<CountEstimate> Finalize() {
-    std::vector<StateId> finals;
+    std::vector<uint32_t> finals;  // stratum ids, ascending state order
     std::vector<ExtFloat> weights;
-    for (StateId q = 0; q < nfa_.NumStates(); ++q) {
-      if (!nfa_.IsAccepting(q) || !live_[n_][q]) continue;
-      if (est_[n_][q].IsZero()) continue;
-      finals.push_back(q);
-      weights.push_back(est_[n_][q]);
+    for (uint32_t id = level_begin_[n_]; id < level_begin_[n_ + 1]; ++id) {
+      const Stratum& stratum = strata_[id];
+      if (!nfa_.IsAccepting(stratum.state)) continue;
+      if (stratum.estimate.IsZero()) continue;
+      finals.push_back(id);
+      weights.push_back(stratum.estimate);
     }
     if (finals.empty()) {
       return CountEstimate{ExtFloat(), stats_};
@@ -389,19 +502,18 @@ class NfaCounter {
     size_t attempts = 0;
     size_t accepted = 0;
     BuildPicker(weights);
-    // Canonical check for one (accepting state, pool index) draw: q must be
-    // the smallest accepting state reachable on the sampled string.
-    auto AcceptsCanonically = [&](StateId q, uint32_t idx) {
+    // Canonical check for one (accepting stratum, pool index) draw: its
+    // state must be the smallest accepting state reachable on the string.
+    auto AcceptsCanonically = [&](uint32_t id, uint32_t idx) {
       ++stats_.membership_checks;
-      const std::vector<StateId>& reach = ReachStates(q, n_, idx);
-      StateId canonical = q;
-      for (StateId other : finals) {
-        if (std::binary_search(reach.begin(), reach.end(), other)) {
-          canonical = other;
-          break;
+      const Span<StateId> reach = ReachStates(id, n_, idx);
+      for (uint32_t other : finals) {
+        if (std::binary_search(reach.begin(), reach.end(),
+                               strata_[other].state)) {
+          return other == id;
         }
       }
-      return canonical == q;
+      return true;
     };
     while (attempts < max_attempts && accepted < target) {
       if (Cancelled()) break;
@@ -411,14 +523,13 @@ class NfaCounter {
       ++stats_.batch_draws;
       BatchSizeHist().Observe(batch);
       for (size_t i = 0; i < batch; ++i) {
-        const size_t pick =
-            picker_.PickFromDouble(Rng::DoubleFromWord(words_[2 * i]));
-        const StateId q = finals[pick];
-        const auto& pool = pools_[n_][q];
+        const uint32_t id = finals[picker_.PickFromDouble(
+            Rng::DoubleFromWord(words_[2 * i]))];
+        const std::vector<PoolEntry>& pool = strata_[id].pool;
         if (pool.empty()) continue;
         const uint32_t idx = static_cast<uint32_t>(
             Rng::BoundedFromWord(words_[2 * i + 1], pool.size()));
-        if (AcceptsCanonically(q, idx)) ++accepted;
+        if (AcceptsCanonically(id, idx)) ++accepted;
       }
       attempts += batch;
     }
@@ -451,26 +562,34 @@ class NfaCounter {
   const CancelToken* cancel_;
   size_t pool_target_ = 0;
   CountStats stats_;
-  std::vector<std::vector<bool>> live_;                       // [l][q]
-  std::vector<std::vector<ExtFloat>> est_;                    // [l][q]
-  std::vector<std::vector<std::vector<SampleRef>>> pools_;    // [l][q]
 
-  // Hot-path scratch, reused across draws and strata.
-  using MemoLevel = std::vector<std::vector<std::vector<StateId>>>;
-  struct ChainLink {
-    size_t l;
-    StateId q;
-    uint32_t idx;
-  };
+  // Stratum index (BuildStrata).
+  std::vector<Stratum> strata_;                    // by stratum id
+  std::vector<uint32_t> level_begin_;              // [l] -> first id
+  std::vector<std::vector<uint32_t>> stratum_of_;  // [l][q] -> id or kDead
+
+  // Reach-set arena and the subset step's index (BuildStepIndex).
+  std::vector<std::unique_ptr<StateId[]>> blocks_;
+  size_t block_shift_ = 0;  // log2 of the block size in states
+  size_t block_fill_ = 0;   // states used in the last block
+  PoolEntry initial_reach_;  // the empty string's reach set
+  std::vector<uint32_t> out_begin_;  // [s] -> first out-edge of s
+  std::vector<OutEdge> out_edges_;
+  std::vector<StateId> step_;  // the set being built, before Store
+  std::vector<PoolEntry*> chain_;
+
+  // Per-stratum scratch, reused across strata.
   AliasPicker picker_;
-  std::vector<MemoLevel> reach_memo_;  // [l][q][pool idx] -> sorted states
-  std::vector<ChainLink> chain_;
-  std::vector<StateId> step_scratch_;
+  std::vector<InEdge> edges_;
+  std::vector<Group> groups_;
+  std::vector<PoolEntry> accepted_;  // canonical hits, one run per group
+  std::vector<uint32_t> group_list_;  // groups with a non-zero estimate
+  std::vector<ExtFloat> weights_;
   // SoA arenas, sized to one batch and reused across batches.
-  std::vector<uint64_t> words_;       // raw block-RNG output
-  std::vector<uint32_t> cand_trans_;  // candidate transition per attempt
-  std::vector<uint32_t> cand_prefix_; // candidate prefix index per attempt
-  std::vector<uint8_t> cand_valid_;   // 0 = predecessor pool was empty
+  std::vector<uint64_t> words_;        // raw block-RNG output
+  std::vector<uint32_t> cand_edge_;    // candidate in-edge per attempt
+  std::vector<uint32_t> cand_prefix_;  // candidate prefix index per attempt
+  std::vector<uint8_t> cand_valid_;    // 0 = predecessor pool was empty
   obs::Histogram* batch_hist_ = nullptr;  // lazy counting.batch_size_hist
 };
 

@@ -542,6 +542,117 @@ TEST(HotpathEquivalenceTest, CountNfaCachedMatchesLegacy) {
   }
 }
 
+// The feasibility pass's ablation branch: with backward pruning disabled,
+// every forward-feasible stratum is processed, including those that cannot
+// reach an accepting state at length n. Same automata as the first twelve
+// rows of the tables above.
+EstimatorConfig NoBackwardPruningConfig(uint64_t seed) {
+  EstimatorConfig cfg = HotpathConfig(seed);
+  cfg.disable_backward_pruning = true;
+  return cfg;
+}
+
+const PinnedRun kNfaNoPruningRuns[] = {
+    // seed 1
+    {"148.986", "401ce048e88b8d4f",
+     {16, 16, 672, 7424, 1492, 0, 7424, 35, 43, 7422, 578}},
+    // seed 2
+    {"7.2515", "4006ddc1ee040038",
+     {35, 31, 1296, 3328, 2277, 0, 3328, 18, 40, 3324, 812}},
+    // seed 3
+    {"0", "fff0000000000000",
+     {18, 12, 480, 2560, 736, 0, 2560, 10, 20, 2558, 383}},
+    // seed 4
+    {"1", "0000000000000000",
+     {48, 10, 336, 0, 0, 0, 0, 0, 7, 0, 0}},
+    // seed 5
+    {"149.931", "401ce9a1d1f976fe",
+     {45, 41, 1872, 3840, 2738, 0, 3840, 42, 54, 3838, 1373}},
+    // seed 6
+    {"2", "3ff0000000000000",
+     {28, 20, 864, 256, 256, 0, 256, 1, 19, 254, 302}},
+    // seed 7
+    {"33.803", "401450f9b3f37e09",
+     {18, 18, 720, 9472, 3724, 0, 9472, 46, 52, 9469, 669}},
+    // seed 8
+    {"16.3125", "40101c93f392398d",
+     {15, 15, 576, 5632, 1793, 0, 5632, 33, 34, 5629, 494}},
+    // seed 9
+    {"0", "fff0000000000000",
+     {21, 9, 336, 512, 277, 0, 512, 2, 9, 510, 91}},
+    // seed 10
+    {"313.324", "40209540bf4151d1",
+     {36, 34, 1536, 11520, 5004, 0, 11520, 74, 77, 11518, 1408}},
+    // seed 11
+    {"16.7678", "4010453eea14f0b8",
+     {10, 9, 384, 3584, 1298, 0, 3584, 22, 22, 3583, 289}},
+    // seed 12
+    {"30.6807", "4013c1cd9544b491",
+     {30, 28, 1200, 5632, 3428, 0, 5632, 40, 47, 5629, 948}},
+};
+
+const PinnedRun kNftaNoPruningRuns[] = {
+    // seed 1
+    {"0", "fff0000000000000",
+     {70, 28, 1344, 512, 512, 0, 512, 3, 30, 1011, 173}},
+    // seed 2
+    {"18", "4010ae00d1cfdeb4",
+     {104, 65, 3120, 0, 0, 0, 0, 10, 65, 0, 0}},
+    // seed 3
+    {"0", "fff0000000000000",
+     {58, 22, 1056, 0, 0, 0, 0, 0, 22, 0, 0}},
+    // seed 4
+    {"0", "fff0000000000000",
+     {127, 59, 2832, 1280, 1002, 0, 1280, 10, 64, 2469, 374}},
+    // seed 5
+    {"0", "fff0000000000000",
+     {129, 31, 1488, 256, 256, 0, 256, 3, 32, 650, 118}},
+    // seed 6
+    {"44", "4015d6753e032ea1",
+     {196, 132, 6336, 1792, 1792, 0, 1792, 54, 139, 3603, 477}},
+    // seed 7
+    {"0", "fff0000000000000",
+     {211, 119, 5712, 2560, 1831, 0, 2560, 37, 129, 5629, 484}},
+    // seed 8
+    {"11", "400bacea7c065d42",
+     {135, 110, 5280, 3840, 3840, 0, 3840, 36, 125, 5828, 778}},
+    // seed 9
+    {"7.94531", "4007ebbba0834370",
+     {114, 70, 3360, 768, 547, 0, 768, 17, 73, 2267, 241}},
+    // seed 10
+    {"4", "4000000000000000",
+     {189, 96, 4608, 1024, 1024, 0, 1024, 11, 100, 1780, 304}},
+    // seed 11
+    {"31.0234", "4013d236a9935522",
+     {259, 191, 9168, 4096, 3429, 0, 4096, 83, 207, 7859, 855}},
+    // seed 12
+    {"4", "4000000000000000",
+     {170, 131, 6288, 1024, 1024, 0, 1024, 43, 135, 1978, 458}},
+};
+
+TEST(HotpathEquivalenceTest, CountNfaWithoutBackwardPruning) {
+  Rng rng(0x5ca1e);
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    const size_t S = 2 + rng.NextBounded(6);
+    Nfa a = RandomNfa(&rng, S, 1 + rng.NextBounded(2),
+                      4 + rng.NextBounded(16));
+    const size_t n = 4 + rng.NextBounded(5);
+    ExpectPinned(CountNfaStrings(a, n, NoBackwardPruningConfig(seed)),
+                 kNfaNoPruningRuns[seed - 1], Where(seed));
+  }
+}
+
+TEST(HotpathEquivalenceTest, CountNftaWithoutBackwardPruning) {
+  Rng rng(0x9e1);
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    Nfta t = RandomNfta(&rng, 2 + rng.NextBounded(5), 2,
+                        4 + rng.NextBounded(12));
+    const size_t n = 3 + rng.NextBounded(6);
+    ExpectPinned(CountNftaTrees(t, n, NoBackwardPruningConfig(seed)),
+                 kNftaNoPruningRuns[seed - 1], Where(seed));
+  }
+}
+
 TEST(HotpathEquivalenceTest, MedianOfRWithCaches) {
   // The parallel median-of-R path (with the run index warmed for the
   // workers), aggregated stats included.

@@ -51,12 +51,16 @@ struct Fixture {
   ProbabilisticDatabase pdb;
 };
 
+// At density 1.0 the path query is near certain and the FPRAS answer clamps
+// to exactly 1; kBelowOneDensity keeps the answer a sampled value below 1.
+constexpr double kBelowOneDensity = 0.6;
+
 // String-route instance (self-join-free path query).
-Fixture MakePathFixture(uint64_t prob_seed) {
+Fixture MakePathFixture(uint64_t prob_seed, double density = 1.0) {
   auto qi = MakePathQuery(3).MoveValue();
   LayeredGraphOptions opt;
   opt.width = 3;
-  opt.density = 1.0;
+  opt.density = density;
   opt.seed = 7;
   auto db = MakeLayeredPathDatabase(qi, opt).MoveValue();
   ProbabilityModel pm;
@@ -513,6 +517,55 @@ TEST(DeltaRebindTest, ServiceUpdateBitIdentityMatrix) {
   }
 }
 
+TEST(DeltaRebindTest, ServiceUpdatesBelowOneMatchCold) {
+  // The path route of ServiceUpdateBitIdentityMatrix on answers that cannot
+  // clamp to 1, so the memcmp compares sampled bits.
+  Fixture fx = MakePathFixture(100, kBelowOneDensity);
+  const PqeEngine::Options opts = PinnedOptions();
+  serve::PqeService::Options sopt;
+  sopt.engine = opts;
+  sopt.num_threads = 1;
+  serve::PqeService service(sopt);
+  PqeEngine cold(opts);
+
+  ProbabilisticDatabase pdb = fx.pdb;
+  uint64_t next_id = 1;
+  double served_probability = 0.0;
+  auto serve_and_check = [&] {
+    EvalRequest r = EvalRequest::ForQuery(fx.qi.query, pdb);
+    r.request_id = next_id++;
+    r.seed = 0xabc;
+    const std::vector<EvalResponse> served = service.EvaluateBatch({r});
+    ASSERT_EQ(served.size(), 1u);
+    ASSERT_TRUE(served[0].status.ok()) << served[0].status.ToString();
+    const EvalResponse want = cold.EvaluateRequest(r);
+    ASSERT_TRUE(want.status.ok());
+    ExpectBitIdenticalAnswer(served[0].answer, want.answer);
+    served_probability = served[0].answer.probability;
+  };
+  serve_and_check();
+  // Some deltas raise the estimate to the clamp; the fixture's own answer
+  // must stay below it.
+  EXPECT_LT(served_probability, 0.99);
+
+  for (DeltaKind kind : kAllKinds) {
+    std::vector<Probability> before;
+    for (FactId f = 0; f < 3; ++f) before.push_back(pdb.probability(f));
+    const std::vector<Probability> after = ApplyKind(before, kind);
+    serve::LabelDelta delta;
+    for (FactId f = 0; f < 3; ++f) {
+      if (before[f].num == after[f].num) continue;
+      delta.facts.push_back(f);
+      delta.new_probs.push_back(after[f]);
+    }
+    if (delta.facts.empty()) continue;
+    auto stats = service.ApplyUpdate(&pdb, delta);
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    EXPECT_EQ(stats->delta_rebinds, 1u);
+    serve_and_check();
+  }
+}
+
 TEST(DeltaRebindTest, ConcurrentUpdatesAndBatchesStayDeterministic) {
   // The TSan target: one thread streams ApplyUpdate into its own database
   // while evaluator threads serve batches over private snapshots. All of
@@ -578,6 +631,68 @@ TEST(DeltaRebindTest, ConcurrentUpdatesAndBatchesStayDeterministic) {
   const serve::ServiceStats stats = service.StatsSnapshot();
   EXPECT_EQ(stats.errors, 0u);
   EXPECT_EQ(stats.requests, 32u);
+}
+
+TEST(DeltaRebindTest, ConcurrentUpdatesBelowOneStayDeterministic) {
+  // ConcurrentUpdatesAndBatchesStayDeterministic on answers that cannot
+  // clamp to 1: evaluators serving two pinned labellings while an updater
+  // streams ApplyUpdate must reproduce the cold answers' sampled bits.
+  Fixture fx = MakePathFixture(100, kBelowOneDensity);
+  const PqeEngine::Options opts = PinnedOptions();
+  serve::PqeService::Options sopt;
+  sopt.engine = opts;
+  serve::PqeService service(sopt);
+  PqeEngine cold_engine(opts);
+
+  ProbabilisticDatabase snapshots[2] = {fx.pdb, fx.pdb};
+  {
+    const Probability p = fx.pdb.probability(1);
+    ASSERT_TRUE(snapshots[1]
+                    .SetProbability(1, {(p.num + 1) % (p.den + 1), p.den})
+                    .ok());
+  }
+  PqeAnswer cold[2];
+  for (size_t i = 0; i < 2; ++i) {
+    EvalRequest r = EvalRequest::ForQuery(fx.qi.query, snapshots[i]);
+    r.request_id = i + 1;
+    r.seed = 0xabc;
+    const EvalResponse resp = cold_engine.EvaluateRequest(r);
+    ASSERT_TRUE(resp.status.ok());
+    EXPECT_LT(resp.answer.probability, 0.99);
+    cold[i] = resp.answer;
+  }
+
+  std::atomic<bool> failed{false};
+  std::thread updater([&] {
+    ProbabilisticDatabase pdb = fx.pdb;
+    for (size_t iter = 0; iter < 24 && !failed.load(); ++iter) {
+      const FactId fact = iter % 3;
+      const Probability p = pdb.probability(fact);
+      serve::LabelDelta delta{
+          {fact}, {Probability{(p.num + 1) % (p.den + 1), p.den}}};
+      if (!service.ApplyUpdate(&pdb, delta).ok()) failed.store(true);
+    }
+  });
+  std::vector<std::thread> evaluators;
+  for (size_t i = 0; i < 2; ++i) {
+    evaluators.emplace_back([&, i] {
+      for (size_t iter = 0; iter < 8 && !failed.load(); ++iter) {
+        EvalRequest r = EvalRequest::ForQuery(fx.qi.query, snapshots[i]);
+        r.request_id = i + 1;
+        r.seed = 0xabc;
+        const std::vector<EvalResponse> resp = service.EvaluateBatch({r});
+        if (resp.size() != 1 || !resp[0].status.ok() ||
+            std::memcmp(&resp[0].answer.probability, &cold[i].probability,
+                        sizeof(double)) != 0) {
+          failed.store(true);
+        }
+      }
+    });
+  }
+  updater.join();
+  for (auto& th : evaluators) th.join();
+  EXPECT_FALSE(failed.load());
+  EXPECT_EQ(service.StatsSnapshot().errors, 0u);
 }
 
 }  // namespace

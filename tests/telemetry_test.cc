@@ -322,11 +322,15 @@ struct Fixture {
   ProbabilisticDatabase pdb;
 };
 
-Fixture MakeFixture(uint64_t prob_seed) {
+// At density 1.0 the path query is near certain and the FPRAS answer clamps
+// to exactly 1; kBelowOneDensity keeps the answer a sampled value below 1.
+constexpr double kBelowOneDensity = 0.6;
+
+Fixture MakeFixture(uint64_t prob_seed, double density = 1.0) {
   auto qi = MakePathQuery(3).MoveValue();
   LayeredGraphOptions opt;
   opt.width = 3;
-  opt.density = 1.0;
+  opt.density = density;
   opt.seed = 7;
   auto db = MakeLayeredPathDatabase(qi, opt).MoveValue();
   ProbabilityModel pm;
@@ -474,6 +478,46 @@ TEST(ReplayTest, ReplayedAnswersMatchBitForBit) {
   ASSERT_FALSE(bad->mismatch_details.empty());
   EXPECT_NE(bad->mismatch_details[0].find("request 3"), std::string::npos)
       << bad->mismatch_details[0];
+  std::remove(path.c_str());
+}
+
+TEST(ReplayTest, ReplayedAnswersBelowOneMatchBitForBit) {
+  // The same oracle on answers that cannot clamp: a sampler nondeterminism
+  // would change these bits.
+  Fixture fx = MakeFixture(100, kBelowOneDensity);
+  const std::string path = "telemetry_test_replay_below_one.jsonl";
+  std::remove(path.c_str());
+
+  PqeService::Options sopt;
+  sopt.engine = TestOptions();
+  sopt.num_threads = 1;
+  sopt.capture_path = path;
+  {
+    PqeService service(sopt);
+    std::vector<EvalRequest> reqs;
+    for (uint64_t i = 1; i <= 4; ++i) {
+      EvalRequest r = EvalRequest::ForQuery(fx.qi.query, fx.pdb);
+      r.request_id = i;
+      if (i % 2 == 0) r.epsilon = 0.35;
+      reqs.push_back(r);
+    }
+    for (const EvalResponse& x : service.EvaluateBatch(reqs)) {
+      ASSERT_TRUE(x.status.ok()) << x.status.ToString();
+      EXPECT_LT(x.answer.probability, 0.99);
+    }
+  }
+
+  auto records = LoadWorkloadFile(path);
+  ASSERT_TRUE(records.ok());
+  ASSERT_EQ(records->size(), 4u);
+  PqeService::Options replay_opts = sopt;
+  replay_opts.capture_path.clear();
+  PqeService fresh(replay_opts);
+  auto report = ReplayWorkload(fresh, fx.pdb, *records);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->replayed, 4u);
+  EXPECT_EQ(report->matched, 4u);
+  EXPECT_TRUE(report->Clean());
   std::remove(path.c_str());
 }
 
