@@ -26,10 +26,14 @@ namespace pqe {
 /// child determines the split), so their estimates multiply and their
 /// samples compose without rejection. A-strata are overlapping unions over
 /// the out-transitions of q and use the Karp–Luby canonical-witness
-/// estimator; membership of a subtree in A(q', s') is decided exactly by
-/// bottom-up simulation (the run-state sets of Nfta::RunStates, memoized
-/// over pooled subtrees). Samples are stored as O(1) derivation references
-/// and materialized on demand.
+/// estimator that CountNFA shares (counting/union_estimator.h); membership
+/// of a subtree in A(q', s') is decided exactly by bottom-up simulation (the
+/// run-state sets of Nfta::RunStates, memoized inline in each pooled
+/// sample). The feasibility pass numbers the live strata by size, so each
+/// size is one id range of tree strata and one of forest strata; a record
+/// per live stratum holds its estimate and its pool. Samples are O(1)
+/// derivation references that name the strata they extend by id, and are
+/// materialized on demand.
 ///
 /// Fails with InvalidArgument if the automaton still has λ-transitions
 /// (call Nfta::EliminateLambda first).

@@ -3,12 +3,14 @@
 // automata).
 
 #include <cmath>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "counting/count_nfa.h"
 #include "counting/count_nfta.h"
 #include "counting/exact.h"
+#include "util/cancel.h"
 #include "util/rng.h"
 
 namespace pqe {
@@ -292,6 +294,81 @@ TEST(CountNfaTest, MedianOfRepetitionsRuns) {
   auto exact = ExactCountNfaStrings(nfa, 5).MoveValue();
   EXPECT_NEAR(est->value.ToDouble(), exact.ToDouble(),
               0.3 * exact.ToDouble() + 1e-9);
+}
+
+// ------------------------------------------------------- cancellation ----
+
+// A 3-state NFA accepting every binary string (two redundant accepting
+// paths, so the union estimator's rejection loop runs).
+Nfa AmbiguousBinaryNfa() {
+  Nfa nfa;
+  for (int i = 0; i < 3; ++i) nfa.AddState();
+  nfa.MarkInitial(0);
+  nfa.MarkAccepting(1);
+  nfa.MarkAccepting(2);
+  for (StateId from : {0, 1, 2}) {
+    for (SymbolId a : {0, 1}) {
+      nfa.AddTransition(from, a, 1);
+      nfa.AddTransition(from, a, 2);
+    }
+  }
+  return nfa;
+}
+
+TEST(CounterCancellationTest, CountNfaPreCancelledNamesStratumZero) {
+  const Nfa nfa = AmbiguousBinaryNfa();
+  CancelToken token;
+  token.Cancel();
+  EstimatorConfig cfg = TestConfig();
+  cfg.repetitions = 1;
+  cfg.cancel = &token;
+  auto est = CountNfaStrings(nfa, 6, cfg);
+  ASSERT_EQ(est.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_NE(est.status().message().find("count_nfa"), std::string::npos)
+      << est.status().ToString();
+  EXPECT_NE(est.status().message().find("stratum 0/6"), std::string::npos)
+      << est.status().ToString();
+  EXPECT_EQ(token.progress(), 0u);
+}
+
+TEST(CounterCancellationTest, CountNfaLiveTokenCountsEveryStratum) {
+  const Nfa nfa = AmbiguousBinaryNfa();
+  CancelToken token;  // no deadline: never expires
+  EstimatorConfig cfg = TestConfig();
+  cfg.repetitions = 1;
+  cfg.cancel = &token;
+  auto est = CountNfaStrings(nfa, 6, cfg);
+  ASSERT_TRUE(est.ok()) << est.status().ToString();
+  EXPECT_EQ(token.progress(), 6u);
+}
+
+TEST(CounterCancellationTest, CountNftaPreCancelledNamesStratumZero) {
+  Rng rng(4242);
+  const Nfta t = RandomNfta(&rng, 4, 2, 6);
+  CancelToken token;
+  token.Cancel();
+  EstimatorConfig cfg = TestConfig();
+  cfg.repetitions = 1;
+  cfg.cancel = &token;
+  auto est = CountNftaTrees(t, 5, cfg);
+  ASSERT_EQ(est.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_NE(est.status().message().find("count_nfta"), std::string::npos)
+      << est.status().ToString();
+  EXPECT_NE(est.status().message().find("stratum 0/5"), std::string::npos)
+      << est.status().ToString();
+  EXPECT_EQ(token.progress(), 0u);
+}
+
+TEST(CounterCancellationTest, CountNftaLiveTokenCountsEveryStratum) {
+  Rng rng(4242);
+  const Nfta t = RandomNfta(&rng, 4, 2, 6);
+  CancelToken token;  // no deadline: never expires
+  EstimatorConfig cfg = TestConfig();
+  cfg.repetitions = 1;
+  cfg.cancel = &token;
+  auto est = CountNftaTrees(t, 5, cfg);
+  ASSERT_TRUE(est.ok()) << est.status().ToString();
+  EXPECT_EQ(token.progress(), 5u);
 }
 
 TEST(CountStatsTest, ToStringMentionsAllFields) {

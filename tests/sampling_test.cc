@@ -2,12 +2,18 @@
 // every sampled world must satisfy the query, and for uniform labels the
 // empirical distribution must roughly match the conditioned distribution.
 
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
 #include <map>
 #include <string>
 
 #include <gtest/gtest.h>
 
+#include "core/pqe.h"
 #include "core/sampling.h"
+#include "core/ur_construction.h"
+#include "counting/count_nfta.h"
 #include "cq/builders.h"
 #include "eval/eval.h"
 #include "workload/generators.h"
@@ -114,6 +120,112 @@ TEST(SamplingTest, OriginalFactMappingIsConsistent) {
   ASSERT_EQ(result->original_fact.size(), 2u);
   EXPECT_EQ(result->original_fact[0], 1u);
   EXPECT_EQ(result->original_fact[1], 2u);
+}
+
+// ------------------------------------------------------ pinned samples ----
+// CountAndSampleNftaTrees materializes its samples from the counter's pools,
+// so the pool storage is on this path. The table pins, per fixture and seed,
+// the estimate's log2 bits and an FNV-1a fingerprint over every sampled
+// tree's preorder (label, child count) sequence, in sample order.
+
+// The tree automata behind SampleSatisfyingSubinstances (Proposition 1, the
+// path-3 fixture above) and SampleConditionedWorlds (Theorem 1, H0 above).
+struct SampleFixture {
+  Nfta nfta;
+  size_t tree_size = 0;
+};
+
+SampleFixture UrPath3Fixture() {
+  auto qi = MakePathQuery(3).MoveValue();
+  LayeredGraphOptions opt;
+  opt.width = 2;
+  opt.density = 0.8;
+  opt.seed = 4;
+  auto db = MakeLayeredPathDatabase(qi, opt).MoveValue();
+  auto automaton = BuildUrAutomaton(qi.query, db, {}).MoveValue();
+  return {std::move(automaton.nfta), automaton.tree_size};
+}
+
+SampleFixture PqeH0Fixture() {
+  auto qi = MakeH0Query().MoveValue();
+  Database db(qi.schema);
+  EXPECT_TRUE(db.AddFactByName("R", {"a"}).ok());
+  EXPECT_TRUE(db.AddFactByName("R", {"b"}).ok());
+  EXPECT_TRUE(db.AddFactByName("S", {"a", "u"}).ok());
+  EXPECT_TRUE(db.AddFactByName("S", {"b", "v"}).ok());
+  EXPECT_TRUE(db.AddFactByName("T", {"u"}).ok());
+  EXPECT_TRUE(db.AddFactByName("T", {"v"}).ok());
+  ProbabilisticDatabase pdb = ProbabilisticDatabase::Uniform(std::move(db));
+  EXPECT_TRUE(pdb.SetProbability(0, Probability{2, 3}).ok());
+  EXPECT_TRUE(pdb.SetProbability(3, Probability{1, 4}).ok());
+  auto automaton = BuildPqeAutomaton(qi.query, pdb, {}).MoveValue();
+  return {std::move(automaton.weighted), automaton.tree_size};
+}
+
+uint64_t Fnv1a(uint64_t h, uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (v >> (8 * i)) & 0xff;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+uint64_t Fingerprint(uint64_t h, const LabeledTree& tree, uint32_t node) {
+  h = Fnv1a(h, tree.label(node));
+  h = Fnv1a(h, tree.children(node).size());
+  for (uint32_t child : tree.children(node)) h = Fingerprint(h, tree, child);
+  return h;
+}
+
+std::string DoubleBits(double d) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &d, sizeof(bits));
+  char buf[19];
+  std::snprintf(buf, sizeof(buf), "%016llx",
+                static_cast<unsigned long long>(bits));
+  return buf;
+}
+
+struct PinnedSampleRow {
+  const char* fixture;
+  uint64_t seed;
+  const char* log2_bits;  // hex of the estimate's Log2() bit pattern
+  size_t samples;
+  uint64_t fingerprint;
+};
+
+constexpr size_t kPinnedSamples = 24;
+
+constexpr PinnedSampleRow kPinnedSampleRows[] = {
+    {"ur_path3", 7, "4022282381de945f", 24, 0x339a1d67f4a4c5a4ull},
+    {"ur_path3", 11, "40222d3a938000bc", 24, 0x155da6be76fceca4ull},
+    {"ur_path3", 0x5eed, "402230858e83e672", 24, 0xf1449efb5bf0a4a4ull},
+    {"pqe_h0", 3, "401568902809817d", 24, 0xdf688c44f39ed065ull},
+    {"pqe_h0", 11, "401592e6859031ff", 24, 0x792839ff642f5165ull},
+    {"pqe_h0", 0x5eed, "40159581b75c5249", 24, 0x69611115086fae24ull},
+};
+
+TEST(SamplingPinTest, EstimatesAndSampledTreesMatchTheTable) {
+  const SampleFixture ur = UrPath3Fixture();
+  const SampleFixture h0 = PqeH0Fixture();
+  for (const PinnedSampleRow& row : kPinnedSampleRows) {
+    const SampleFixture& fx =
+        std::string(row.fixture) == "ur_path3" ? ur : h0;
+    auto run = CountAndSampleNftaTrees(fx.nfta, fx.tree_size,
+                                       SamplingConfig(row.seed),
+                                       kPinnedSamples);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    uint64_t h = 0xcbf29ce484222325ull;
+    for (const LabeledTree& tree : run->samples) {
+      h = Fingerprint(h, tree, tree.root());
+    }
+    const std::string where =
+        std::string(row.fixture) + " seed " + std::to_string(row.seed);
+    EXPECT_EQ(DoubleBits(run->estimate.value.Log2()), row.log2_bits)
+        << where;
+    EXPECT_EQ(run->samples.size(), row.samples) << where;
+    EXPECT_EQ(h, row.fingerprint) << where;
+  }
 }
 
 }  // namespace
