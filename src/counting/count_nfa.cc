@@ -34,7 +34,7 @@ class NfaCounter {
         n_(n),
         config_(config),
         est_(config, n, "count_nfa", "length"),
-        arena_(nfa.NumStates()) {}
+        arena_(nfa.NumStates(), est_.blocks()) {}
 
   Result<CountEstimate> Run() {
     if (nfa_.initial_states().empty()) {
@@ -47,6 +47,7 @@ class NfaCounter {
     // live at level 0.
     for (uint32_t id = level_begin_[0]; id < level_begin_[1]; ++id) {
       strata_[id].estimate = ExtFloat::FromUint64(1);
+      strata_[id].pool = est_.CarvePool<PooledSample>(1);
       strata_[id].pool.push_back(PooledSample{});  // the empty string
     }
     for (size_t l = 1; l <= n_; ++l) {

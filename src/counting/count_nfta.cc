@@ -32,13 +32,22 @@ struct ForestKey {
   uint32_t size;
 };
 
-// A pooled forest sample of F(τ, j, s): its j-th child, sample `tree` of the
-// tree stratum `child` = A(child_j(τ), split), after sample `prefix` of the
-// forest stratum `prefix_stratum` = F(τ, j−1, s − split) (kNone when j = 1).
-struct ForestSample {
-  uint32_t prefix_stratum;
+// A split of F(τ, j, s) at `size`: the prefix forest stratum
+// F(τ, j−1, s − size) (kNone for the empty forest, when j = 1) and the tree
+// stratum A(child_j(τ), size) of the j-th child.
+struct Split {
   uint32_t prefix;
   uint32_t child;
+};
+
+// A pooled forest sample of F(τ, j, s): entry `split` of the run's split
+// table, sample `prefix` of that split's prefix forest stratum and, as the
+// j-th child, sample `tree` of its child tree stratum. Naming the split
+// instead of its two strata keeps the sample at 12 bytes, the size of a
+// tree sample, so both pack 7 pools to a 64 KB block.
+struct ForestSample {
+  uint32_t split;
+  uint32_t prefix;
   uint32_t tree;
 };
 
@@ -56,7 +65,7 @@ class NftaCounter {
         n_(n),
         config_(config),
         est_(config, n, "count_nfta", "size"),
-        arena_(nfta.NumStates()) {}
+        arena_(nfta.NumStates(), est_.blocks()) {}
 
   Result<CountEstimate> Run() {
     if (nfta_.HasLambdaTransitions()) {
@@ -416,11 +425,13 @@ class NftaCounter {
   void MaterializeForest(uint32_t id, uint32_t idx, uint32_t parent,
                          LabeledTree* out) const {
     const ForestSample& f = forests_[id].pool[idx];
-    if (f.prefix_stratum != kNone) {
-      MaterializeForest(f.prefix_stratum, f.prefix, parent, out);
+    const Split& split = splits_[f.split];
+    if (split.prefix != kNone) {
+      MaterializeForest(split.prefix, f.prefix, parent, out);
     }
-    const uint32_t node = out->AddChild(parent, RootSymbol(f.child, f.tree));
-    MaterializeChildren(f.child, f.tree, node, out);
+    const uint32_t node =
+        out->AddChild(parent, RootSymbol(split.child, f.tree));
+    MaterializeChildren(split.child, f.tree, node, out);
   }
 
   // --- Strata processing --------------------------------------------------
@@ -465,7 +476,9 @@ class NftaCounter {
   void ProcessForestStratum(uint32_t id) {
     const ForestKey key = forests_[id].key;
     const StateId child = nfta_.transition(key.tau).children[key.j - 1];
-    splits_.clear();
+    // This stratum's splits are appended to the run's split table as
+    // [first, splits_.size()).
+    const uint32_t first = static_cast<uint32_t>(splits_.size());
     weights_.clear();
     ExtFloat total;
     for (uint32_t node = first_[child];
@@ -492,23 +505,25 @@ class NftaCounter {
     }
     ForestStratum& stratum = forests_[id];
     stratum.estimate = total;
-    if (splits_.empty()) return;
+    const size_t num_splits = splits_.size() - first;
+    if (num_splits == 0) return;
 
-    if (splits_.size() > 1) est_.BuildPicker(weights_);
-    std::vector<ForestSample>& pool = stratum.pool;
+    if (num_splits > 1) est_.BuildPicker(weights_);
     const size_t target = est_.pool_target();
-    pool.reserve(target);
+    stratum.pool = est_.CarvePool<ForestSample>(target);
+    PoolSlice<ForestSample>& pool = stratum.pool;
     // Batched composition: one word for the split pick, one for the
     // prefix-forest index, one for the child-tree index.
     for (size_t done = 0; done < target;) {
       const size_t batch = std::min(kDrawBatch, target - done);
       const uint64_t* words = est_.DrawBatch(batch, 3);
       for (size_t i = 0; i < batch; ++i) {
-        const Split& split =
-            splits_[splits_.size() == 1
-                        ? 0
-                        : est_.picker().PickFromDouble(
-                              Rng::DoubleFromWord(words[3 * i]))];
+        const uint32_t pick =
+            first + (num_splits == 1
+                         ? 0
+                         : static_cast<uint32_t>(est_.picker().PickFromDouble(
+                               Rng::DoubleFromWord(words[3 * i]))));
+        const Split& split = splits_[pick];
         uint32_t prefix_idx = 0;
         if (split.prefix != kNone) {
           const size_t bound = forests_[split.prefix].pool.size();
@@ -520,8 +535,7 @@ class NftaCounter {
         if (bound == 0) continue;
         const uint32_t tree_idx = static_cast<uint32_t>(
             Rng::BoundedFromWord(words[3 * i + 2], bound));
-        pool.push_back(
-            ForestSample{split.prefix, prefix_idx, split.child, tree_idx});
+        pool.push_back(ForestSample{pick, prefix_idx, tree_idx});
       }
       done += batch;
     }
@@ -569,9 +583,10 @@ class NftaCounter {
     sets_.resize(base + forests_[id].key.j);
     for (size_t j = forests_[id].key.j; j > 0; --j) {
       const ForestSample f = forests_[id].pool[idx];
-      const uint32_t set = RootStates(f.child, f.tree);
+      const Split split = splits_[f.split];
+      const uint32_t set = RootStates(split.child, f.tree);
       sets_[base + j - 1] = set;
-      id = f.prefix_stratum;
+      id = split.prefix;
       idx = f.prefix;
     }
     return base;
@@ -661,13 +676,6 @@ class NftaCounter {
     return found;
   }
 
-  // A split of a forest stratum: the prefix forest stratum (kNone for the
-  // empty forest) and the last child's tree stratum.
-  struct Split {
-    uint32_t prefix;
-    uint32_t child;
-  };
-
   const Nfta& nfta_;
   const size_t n_;
   const EstimatorConfig& config_;
@@ -684,6 +692,7 @@ class NftaCounter {
   // forests_.
   std::vector<TreeStratum> trees_;
   std::vector<ForestStratum> forests_;
+  std::vector<Split> splits_;  // every forest stratum's splits, by stratum
   std::vector<uint32_t> tree_begin_;
   std::vector<uint32_t> forest_begin_;
   uint32_t root_ = kNone;  // A(initial, n), once Run() has finished
@@ -698,7 +707,6 @@ class NftaCounter {
 
   // Per-stratum scratch.
   std::vector<UnionMember> members_;
-  std::vector<Split> splits_;
   std::vector<ExtFloat> weights_;
 };
 

@@ -7,7 +7,8 @@
 
 namespace pqe {
 
-SetArena::SetArena(size_t num_states) {
+SetArena::SetArena(size_t num_states, RunBlocks* blocks)
+    : run_blocks_(blocks) {
   // A set of all |S| states plus its length word must fit one block.
   while ((size_t{1} << shift_) < num_states + 1) ++shift_;
 }
@@ -17,15 +18,28 @@ uint32_t SetArena::Store(const std::vector<StateId>& set) {
   const size_t len = set.size() + 1;
   if (blocks_.empty() || fill_ + len > block_states) {
     PQE_CHECK((blocks_.size() + 1) * block_states <= (size_t{1} << 32));
-    blocks_.push_back(std::make_unique_for_overwrite<StateId[]>(block_states));
+    blocks_.push_back(static_cast<StateId*>(
+        run_blocks_->Acquire(block_states * sizeof(StateId))));
     fill_ = 0;
   }
-  StateId* out = blocks_.back().get() + fill_;
+  StateId* out = blocks_.back() + fill_;
   out[0] = static_cast<StateId>(set.size());
   std::copy(set.begin(), set.end(), out + 1);
   const size_t ref = (blocks_.size() - 1) * block_states + fill_ + 1;
   fill_ += len;
   return static_cast<uint32_t>(ref);
+}
+
+void* SliceCarver::Bytes(size_t bytes) {
+  if (bytes > kPoolBlockBytes) return blocks_->Acquire(bytes);
+  if (left_ < bytes) {
+    next_ = static_cast<char*>(blocks_->Acquire(kPoolBlockBytes));
+    left_ = kPoolBlockBytes;
+  }
+  void* out = next_;
+  next_ += bytes;
+  left_ -= bytes;
+  return out;
 }
 
 UnionEstimator::UnionEstimator(const EstimatorConfig& config, size_t n,
@@ -63,7 +77,7 @@ void UnionEstimator::BuildPicker(const std::vector<ExtFloat>& weights) {
 }
 
 void UnionEstimator::FillPool(const std::vector<UnionMember>& members,
-                              std::vector<PooledSample>* pool) {
+                              PoolSlice<PooledSample>* pool) {
   live_groups_.clear();
   weights_.clear();
   for (uint32_t gi = 0; gi < groups_.size(); ++gi) {
@@ -72,7 +86,7 @@ void UnionEstimator::FillPool(const std::vector<UnionMember>& members,
     weights_.push_back(groups_[gi].estimate);
   }
   if (live_groups_.size() > 1) BuildPicker(weights_);
-  pool->reserve(pool_target_);
+  *pool = CarvePool<PooledSample>(pool_target_);
   // One word for the group pick, one for the index within the group.
   for (size_t done = 0; done < pool_target_;) {
     const size_t batch = std::min(kDrawBatch, pool_target_ - done);

@@ -13,10 +13,11 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
+#include <new>
 #include <vector>
 
 #include "automata/nfa.h"
+#include "counting/block_pool.h"
 #include "counting/config.h"
 #include "counting/weighted_pick.h"
 #include "util/extfloat.h"
@@ -36,28 +37,30 @@ inline constexpr size_t kDrawBatch = 256;
 
 // Sorted state sets (the counters' memoized reach and root-state sets),
 // each stored as its length followed by its states, back to back in blocks
-// of 2^14 states (64 KB), or of the next power of two above |S| when that
-// is larger, so a set never spans two blocks. Fixed-size blocks, not one
-// growing buffer: a multi-MB buffer cannot reuse the holes a long-lived
-// process leaves in its heap. A reference is the offset of a set's first
-// state, which is never 0 (a length word precedes it).
+// of 2^14 states (64 KB, the BlockPool's class), or of the next power of two
+// above |S| when that is larger, so a set never spans two blocks. Fixed-size
+// blocks, not one growing buffer: a multi-MB buffer cannot reuse the holes a
+// long-lived process leaves in its heap. A reference is the offset of a
+// set's first state, which is never 0 (a length word precedes it).
 class SetArena {
  public:
   static constexpr uint32_t kNoSet = 0;
 
-  explicit SetArena(size_t num_states);
+  // Takes its blocks from `blocks`, which must outlive the arena's sets.
+  SetArena(size_t num_states, RunBlocks* blocks);
 
   // Appends `set` and returns its reference.
   uint32_t Store(const std::vector<StateId>& set);
 
   Span<StateId> Get(uint32_t ref) const {
     const StateId* states =
-        blocks_[ref >> shift_].get() + (ref & ((uint32_t{1} << shift_) - 1));
+        blocks_[ref >> shift_] + (ref & ((uint32_t{1} << shift_) - 1));
     return Span<StateId>(states, states[-1]);
   }
 
  private:
-  std::vector<std::unique_ptr<StateId[]>> blocks_;
+  RunBlocks* run_blocks_;
+  std::vector<StateId*> blocks_;
   size_t shift_ = 14;  // log2 of the block size in states
   size_t fill_ = 0;    // states used in the last block
 };
@@ -74,14 +77,61 @@ struct PooledSample {
   uint32_t memo = SetArena::kNoSet;
 };
 
-// A live stratum: the estimate of its size and its sample pool, one block
-// reserved at the pool target. Pools are append-only and a stratum only
+class SliceCarver;
+
+// A stratum's sample pool: room for a fixed number of samples in a pool
+// block, carved by a SliceCarver, and filled append-only. The slice owns
+// nothing; its block lives as long as the run's RunBlocks.
+template <typename T>
+class PoolSlice {
+ public:
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  T& operator[](size_t i) { return data_[i]; }
+  const T& operator[](size_t i) const { return data_[i]; }
+  void push_back(const T& sample) { new (data_ + size_++) T(sample); }
+
+ private:
+  friend class SliceCarver;
+  T* data_ = nullptr;
+  uint32_t size_ = 0;
+};
+
+// Carves one run's pool slices, of both counters' sample types, back to
+// back out of 64 KB blocks: at the default pool target (768) a block holds
+// 7 pools of 12-byte samples. A slice larger than a block gets a block of
+// its own, which bypasses the free list.
+class SliceCarver {
+ public:
+  explicit SliceCarver(RunBlocks* blocks) : blocks_(blocks) {}
+
+  template <typename T>
+  PoolSlice<T> Carve(size_t capacity) {
+    // Slices sit back to back, so every sample type must keep the next one
+    // aligned.
+    static_assert(alignof(T) == alignof(uint32_t) &&
+                  sizeof(T) % alignof(uint32_t) == 0);
+    PoolSlice<T> slice;
+    slice.data_ = static_cast<T*>(Bytes(capacity * sizeof(T)));
+    return slice;
+  }
+
+ private:
+  void* Bytes(size_t bytes);
+
+  RunBlocks* blocks_;
+  char* next_ = nullptr;
+  size_t left_ = 0;  // bytes left in the current block
+};
+
+// A live stratum: the estimate of its size and its sample pool, one slice
+// carved at the pool target. Pools are append-only and a stratum only
 // references strictly smaller, finished strata, so samples never move.
 template <typename Key, typename Sample = PooledSample>
 struct Stratum {
   Key key;
   ExtFloat estimate;
-  std::vector<Sample> pool;
+  PoolSlice<Sample> pool;
 };
 
 // Draw bound of a union member that extends no pool, so no index is drawn
@@ -99,8 +149,8 @@ struct UnionMember {
 };
 
 // The state of one counter run that both counters share: the RNG, the
-// stats, the pool target, the cancellation poll and the per-stratum scratch
-// of the union estimator.
+// stats, the pool target, the run's storage blocks, the cancellation poll
+// and the per-stratum scratch of the union estimator.
 class UnionEstimator {
  public:
   // `counter` and `unit` name the run in a DeadlineError, e.g. "count_nfa"
@@ -111,6 +161,13 @@ class UnionEstimator {
   Rng& rng() { return rng_; }
   CountStats& stats() { return stats_; }
   size_t pool_target() const { return pool_target_; }
+  // The run's blocks: its pool slices and its SetArena come from here.
+  RunBlocks* blocks() { return &blocks_; }
+  // A pool slice with room for `capacity` samples.
+  template <typename Sample>
+  PoolSlice<Sample> CarvePool(size_t capacity) {
+    return slices_.Carve<Sample>(capacity);
+  }
 
   // --- Cancellation: one poll per stratum, plus one per rejection batch
   // (an attempt budget can dominate a stratum).
@@ -140,7 +197,7 @@ class UnionEstimator {
   template <typename Canonical>
   ExtFloat EstimateUnion(std::vector<UnionMember>* members,
                          const Canonical& canonical,
-                         std::vector<PooledSample>* pool);
+                         PoolSlice<PooledSample>* pool);
 
   // Batched Karp–Luby rejection over the members [begin, end): draw a member
   // ∝ its weight and a uniform sample of the pool it extends, and keep the
@@ -185,7 +242,7 @@ class UnionEstimator {
   }
 
   void FillPool(const std::vector<UnionMember>& members,
-                std::vector<PooledSample>* pool);
+                PoolSlice<PooledSample>* pool);
 
   const EstimatorConfig& config_;
   const CancelToken* cancel_;
@@ -195,6 +252,8 @@ class UnionEstimator {
   Rng rng_;
   size_t pool_target_;
   CountStats stats_;
+  RunBlocks blocks_;
+  SliceCarver slices_{&blocks_};
 
   AliasPicker picker_;
   std::vector<uint64_t> words_;  // raw block-RNG output, one batch
@@ -241,7 +300,7 @@ UnionEstimator::Rejection UnionEstimator::Reject(const UnionMember* begin,
 template <typename Canonical>
 ExtFloat UnionEstimator::EstimateUnion(std::vector<UnionMember>* unsorted,
                                        const Canonical& canonical,
-                                       std::vector<PooledSample>* pool) {
+                                       PoolSlice<PooledSample>* pool) {
   // Each member has its own transition, so this order is total.
   std::sort(unsorted->begin(), unsorted->end(),
             [](const UnionMember& a, const UnionMember& b) {

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstring>
 #include <limits>
+#include <thread>
 
 namespace pqe {
 namespace obs {
@@ -230,9 +231,11 @@ std::string RenderTraceText(const RunTrace& trace) {
   return out;
 }
 
-std::string MetricsToJson(const MetricsSnapshot& snapshot) {
-  JsonWriter writer;
-  writer.BeginObject();
+namespace {
+
+// The "metrics" member of a metrics document.
+void WriteMetrics(const MetricsSnapshot& snapshot, JsonWriter* out) {
+  JsonWriter& writer = *out;
   writer.Key("metrics").BeginObject();
   writer.Key("counters").BeginObject();
   for (const auto& e : snapshot.counters) {
@@ -261,6 +264,27 @@ std::string MetricsToJson(const MetricsSnapshot& snapshot) {
   }
   writer.EndObject();
   writer.EndObject();
+}
+
+// Where the numbers were taken: bench_compare prints this stamp for both
+// files when a baseline and a fresh run come from different hosts or
+// builds. src/CMakeLists.txt defines the PQE_COMPILER_* and PQE_BUILD_TYPE
+// strings for this file.
+void WriteHost(JsonWriter* writer) {
+  writer->Key("host").BeginObject();
+  writer->Key("hardware_threads").Uint(std::thread::hardware_concurrency());
+  writer->Key("compiler_id").String(PQE_COMPILER_ID);
+  writer->Key("compiler_version").String(PQE_COMPILER_VERSION);
+  writer->Key("build_type").String(PQE_BUILD_TYPE);
+  writer->EndObject();
+}
+
+}  // namespace
+
+std::string MetricsToJson(const MetricsSnapshot& snapshot) {
+  JsonWriter writer;
+  writer.BeginObject();
+  WriteMetrics(snapshot, &writer);
   writer.EndObject();
   return writer.Take();
 }
@@ -363,7 +387,12 @@ std::string ConsumeMetricsOutFlag(int* argc, char** argv) {
 
 Status WriteMetricsJsonFile(const std::string& path,
                             const MetricRegistry& registry) {
-  const std::string json = MetricsToJson(registry.Snapshot());
+  JsonWriter writer;
+  writer.BeginObject();
+  WriteMetrics(registry.Snapshot(), &writer);
+  WriteHost(&writer);
+  writer.EndObject();
+  const std::string json = writer.Take();
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     return Status::InvalidArgument("cannot open metrics output file: " + path);

@@ -94,7 +94,9 @@ std::string StatsToJson(const Stats& stats) {
 std::string ConsumeMetricsOutFlag(int* argc, char** argv);
 
 /// Writes the registry's snapshot as JSON to `path` (atomically enough for
-/// bench consumption: truncate + write + close).
+/// bench consumption: truncate + write + close): the MetricsToJson document
+/// plus a top-level "host" object — hardware_threads, compiler_id,
+/// compiler_version and build_type — naming where the numbers were taken.
 Status WriteMetricsJsonFile(const std::string& path,
                             const MetricRegistry& registry =
                                 MetricRegistry::Global());

@@ -20,6 +20,9 @@
 // after printing the comparison — regenerating a committed BENCH_*.json
 // after an intentional perf change is one command instead of hand-editing —
 // and exits 0 (an update acknowledges the change instead of gating on it).
+// When the two files carry different "host" stamps (hardware threads,
+// compiler, build type; obs::WriteMetricsJsonFile) both are printed as a
+// note; the stamps never change what is gated or the exit code.
 
 #include <cstdio>
 #include <cstring>
@@ -37,8 +40,31 @@ struct GaugeReading {
   double value = 0.0;
 };
 
-// Pulls {"metrics":{"gauges":{...}}} out of a metrics-export document.
-pqe::Result<std::vector<GaugeReading>> LoadGauges(const std::string& path) {
+struct BenchFile {
+  std::vector<GaugeReading> gauges;
+  std::string host;  // the "host" stamp as key=value pairs, or "" if none
+};
+
+// The "host" object as one line of key=value pairs.
+std::string FormatHost(const pqe::obs::JsonValue& host) {
+  std::string out;
+  for (const auto& [key, value] : host.Members()) {
+    if (!out.empty()) out += ' ';
+    out += key + '=';
+    if (value.is_string()) {
+      out += value.AsString();
+    } else if (value.is_number()) {
+      char number[32];
+      std::snprintf(number, sizeof(number), "%g", value.AsNumber());
+      out += number;
+    }
+  }
+  return out;
+}
+
+// Pulls {"metrics":{"gauges":{...}}} and the "host" stamp out of a
+// metrics-export document.
+pqe::Result<BenchFile> LoadBenchFile(const std::string& path) {
   std::ifstream in(path);
   if (!in.is_open()) {
     return pqe::Status::InvalidArgument("cannot open " + path);
@@ -55,11 +81,13 @@ pqe::Result<std::vector<GaugeReading>> LoadGauges(const std::string& path) {
   if (gauges == nullptr || !gauges->is_object()) {
     return pqe::Status::InvalidArgument(path + ": no \"gauges\" object");
   }
-  std::vector<GaugeReading> out;
+  BenchFile out;
   for (const auto& [name, value] : gauges->Members()) {
     if (!value.is_number()) continue;
-    out.push_back({name, value.AsNumber()});
+    out.gauges.push_back({name, value.AsNumber()});
   }
+  const pqe::obs::JsonValue* host = doc.Find("host");
+  if (host != nullptr && host->is_object()) out.host = FormatHost(*host);
   return out;
 }
 
@@ -120,23 +148,30 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  auto baseline = LoadGauges(baseline_path);
+  auto baseline = LoadBenchFile(baseline_path);
   if (!baseline.ok()) {
     std::fprintf(stderr, "%s\n", baseline.status().ToString().c_str());
     return 2;
   }
-  auto fresh = LoadGauges(fresh_path);
+  auto fresh = LoadBenchFile(fresh_path);
   if (!fresh.ok()) {
     std::fprintf(stderr, "%s\n", fresh.status().ToString().c_str());
     return 2;
+  }
+  if (baseline->host != fresh->host) {
+    std::printf("note: host differs (not gated)\n  baseline: %s\n"
+                "  fresh:    %s\n",
+                baseline->host.empty() ? "(no stamp)"
+                                       : baseline->host.c_str(),
+                fresh->host.empty() ? "(no stamp)" : fresh->host.c_str());
   }
 
   size_t compared = 0;
   size_t regressed = 0;
   size_t missing = 0;
-  for (const GaugeReading& base : *baseline) {
+  for (const GaugeReading& base : baseline->gauges) {
     if (base.name.find("speedup") == std::string::npos) continue;
-    const GaugeReading* now = Find(*fresh, base.name);
+    const GaugeReading* now = Find(fresh->gauges, base.name);
     if (now == nullptr) {
       ++missing;
       std::printf("MISSING %s: baseline %.2f, absent from fresh run\n",

@@ -5,7 +5,10 @@
 
 #include <atomic>
 #include <cctype>
+#include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -525,6 +528,34 @@ TEST(ExportTest, MetricsJsonIsValid) {
   EXPECT_TRUE(IsValidJson(json)) << json;
   EXPECT_NE(json.find("\"a.count\":3"), std::string::npos);
   EXPECT_NE(json.find("\"a.hist\""), std::string::npos);
+}
+
+// A metrics file names where its numbers were taken: the "host" stamp that
+// bench_compare prints when a baseline and a fresh run differ.
+TEST(ExportTest, MetricsFileCarriesHostStamp) {
+  obs::MetricRegistry registry;
+  registry.GetGauge("a.speedup").Set(2.5);
+  const std::string path = testing::TempDir() + "obs_test_metrics.json";
+  ASSERT_TRUE(obs::WriteMetricsJsonFile(path, registry).ok());
+  std::ifstream in(path);
+  std::stringstream text;
+  text << in.rdbuf();
+  std::remove(path.c_str());
+  auto doc = obs::ParseJson(text.str());
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  const obs::JsonValue* gauges = doc->Find("metrics")->Find("gauges");
+  ASSERT_NE(gauges, nullptr);
+  EXPECT_EQ(gauges->Find("a.speedup")->AsNumber(), 2.5);
+  const obs::JsonValue* host = doc->Find("host");
+  ASSERT_NE(host, nullptr);
+  ASSERT_TRUE(host->is_object());
+  EXPECT_TRUE(host->Find("hardware_threads")->is_number());
+  for (const char* key : {"compiler_id", "compiler_version", "build_type"}) {
+    const obs::JsonValue* value = host->Find(key);
+    ASSERT_NE(value, nullptr) << key;
+    ASSERT_TRUE(value->is_string()) << key;
+    EXPECT_FALSE(value->AsString().empty()) << key;
+  }
 }
 
 TEST(ExportTest, CountStatsJsonCoversEveryField) {
