@@ -9,7 +9,6 @@
 #   ./ci.sh sanitize   # just ASan/UBSan
 #   ./ci.sh tsan       # just ThreadSanitizer (PQE_THREADS=8)
 #   ./ci.sh serve_smoke # batch serving CLI under TSan (PQE_THREADS=8)
-#   ./ci.sh faultsim   # deterministic fault-injection sweep under TSan
 #   ./ci.sh perf_smoke # counting hot-path + serving perf smokes
 #   ./ci.sh bench_gate # perf-regression gate vs committed BENCH_*.json
 #   ./ci.sh perfbench  # short traced run of every benchmark workload
@@ -123,57 +122,28 @@ serve_smoke() {
   )
 }
 
-faultsim() {
-  # Sweep the deterministic fault-injection harness over a fixed band of
-  # seeds, under ThreadSanitizer: every seed's schedule injects crashes,
-  # drops, and delays between the router and the shards, and the harness
-  # fails the seed unless the surviving answers are bit-identical to the
-  # unfaulted run AND a re-run of the seed reproduces the exact outcome
-  # vector. A failing seed prints as `pqe_cli --faultsim-seed N` — an exact
-  # local repro, never a flake.
-  (
-    export PQE_THREADS=8
-    echo "==== faultsim: build pqe_cli (tsan) ===="
-    cmake -B build-tsan -S . \
-      -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-      -DPQE_BUILD_BENCHMARKS=OFF \
-      -DPQE_BUILD_EXAMPLES=OFF \
-      -DCMAKE_CXX_FLAGS="-fsanitize=thread" \
-      -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread" >/dev/null
-    cmake --build build-tsan -j "${JOBS}" --target pqe_cli
-    echo "==== faultsim: sweep seeds 1..8 ===="
-    ./build-tsan/src/pqe_cli --faultsim-sweep 8
-  )
-}
-
 perf_smoke() {
   # Smoke the perf benches: each must complete (their cells assert
   # bit-identity or oracle accuracy internally) and emit parseable metrics
   # JSON.
-  echo "==== perf-smoke: build bench_counting_hotpath + bench_serving + bench_serving_updates + bench_sharded_serving + bench_rpq ===="
+  echo "==== perf-smoke: build bench_counting_hotpath + bench_serving + bench_serving_updates + bench_rpq ===="
   cmake -B build -S . >/dev/null
   cmake --build build -j "${JOBS}" \
-    --target bench_counting_hotpath bench_serving bench_serving_updates \
-    bench_sharded_serving bench_rpq
+    --target bench_counting_hotpath bench_serving bench_serving_updates bench_rpq
   echo "==== perf-smoke: run ===="
   local out="build/BENCH_counting_hotpath.smoke.json"
   local serve_out="build/BENCH_serving.smoke.json"
   local update_out="build/BENCH_serving_updates.smoke.json"
-  local shard_out="build/BENCH_sharded_serving.smoke.json"
   local rpq_out="build/BENCH_rpq.smoke.json"
   ./build/bench/bench_counting_hotpath --smoke --metrics_out="${out}"
   ./build/bench/bench_serving --smoke --metrics_out="${serve_out}"
   ./build/bench/bench_serving_updates --smoke --metrics_out="${update_out}"
-  # The sharded bench asserts internally that every routed answer is
-  # bit-identical to the single-service run and that the fault-injection
-  # harness seeds pass (survivors identical, replay exact).
-  ./build/bench/bench_sharded_serving --smoke --metrics_out="${shard_out}"
   # The RPQ bench asserts lowered-regex answers are bit-identical to the
   # path route and warm served RPQ answers to cold engine answers.
   ./build/bench/bench_rpq --smoke --metrics_out="${rpq_out}"
-  echo "==== perf-smoke: validate ${out} + ${serve_out} + ${update_out} + ${shard_out} + ${rpq_out} ===="
+  echo "==== perf-smoke: validate ${out} + ${serve_out} + ${update_out} + ${rpq_out} ===="
   if command -v python3 >/dev/null 2>&1; then
-    python3 - "${out}" "${serve_out}" "${update_out}" "${shard_out}" "${rpq_out}" <<'EOF'
+    python3 - "${out}" "${serve_out}" "${update_out}" "${rpq_out}" <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:
     doc = json.load(f)
@@ -196,26 +166,16 @@ assert any(k.endswith("path.speedup_delta_rebind") and gauges[k] >= 10.0
 with open(sys.argv[4]) as f:
     doc = json.load(f)
 gauges = doc.get("metrics", doc).get("gauges", {})
-sharded = [k for k in gauges
-           if "sharded_serving" in k and k.endswith(".speedup_overhead")]
-assert sharded, "no sharded_serving speedup_overhead gauges in metrics JSON"
-counters = doc.get("metrics", doc).get("counters", {})
-assert counters.get("pqe.bench.sharded_serving.faultsim.seeds_ok", 0) > 0, \
-    "sharded_serving bench ran no faultsim seeds"
-with open(sys.argv[5]) as f:
-    doc = json.load(f)
-gauges = doc.get("metrics", doc).get("gauges", {})
 assert gauges.get("pqe.bench.rpq.linear.w3.parity", 0) == 1.0, \
     "rpq bench reported no lowering parity gauge"
 rpq = [k for k in gauges if "bench.rpq" in k and k.endswith(".speedup_warm")]
 assert rpq, "no rpq serving speedup gauges in metrics JSON"
-print(f"perf-smoke: {len(cells)} hotpath + {len(serving)} serving + {len(updates)} update + {len(sharded)} sharded + {len(rpq)} rpq cells, JSON OK")
+print(f"perf-smoke: {len(cells)} hotpath + {len(serving)} serving + {len(updates)} update + {len(rpq)} rpq cells, JSON OK")
 EOF
   else
     grep -q "counting_hotpath" "${out}"
     grep -q "bench.serving" "${serve_out}"
     grep -q "serving_updates" "${update_out}"
-    grep -q "sharded_serving" "${shard_out}"
     grep -q "bench.rpq" "${rpq_out}"
     echo "perf-smoke: JSON contains expected gauges (python3 absent)"
   fi
@@ -234,7 +194,7 @@ bench_gate() {
   cmake -B build -S . >/dev/null
   cmake --build build -j "${JOBS}" \
     --target bench_counting_hotpath bench_serving bench_serving_updates \
-    bench_replay bench_sharded_serving bench_rpq bench_compare
+    bench_replay bench_rpq bench_compare
   local adv=""
   [[ "${PQE_BENCH_GATE_ADVISORY:-0}" != "0" ]] && adv="--advisory"
   echo "==== bench-gate: run smoke benches ===="
@@ -252,10 +212,6 @@ bench_gate() {
   # The replay bench is its own gate: it asserts every replayed answer
   # matches its capture bit for bit.
   ./build/bench/bench_replay --smoke
-  # The sharded bench gates routed-vs-single bit-identity and the faultsim
-  # contract internally; its routing-overhead ratio is gated below.
-  ./build/bench/bench_sharded_serving --smoke \
-    --metrics_out=build/bench_gate_sharded_serving.json
   # The RPQ bench asserts lowering parity and warm/cold bit-identity
   # internally; its serving speedup is gated below.
   ./build/bench/bench_rpq --smoke --metrics_out=build/bench_gate_rpq.json
@@ -264,8 +220,6 @@ bench_gate() {
     --fresh build/bench_gate_serving.json ${adv}
   ./build/src/bench_compare --baseline BENCH_serving_updates.json \
     --fresh build/bench_gate_serving_updates.json ${adv}
-  ./build/src/bench_compare --baseline BENCH_sharded_serving.json \
-    --fresh build/bench_gate_sharded_serving.json ${adv}
   ./build/src/bench_compare --baseline BENCH_rpq.json \
     --fresh build/bench_gate_rpq.json ${adv}
 }
@@ -286,19 +240,21 @@ perfbench() {
   done
 }
 
-if [[ $# -eq 0 ]]; then
-  tier1
-  notrace
-  sanitize
-  tsan
-  serve_smoke
-  faultsim
-  perf_smoke
-  bench_gate
-  perfbench
-else
-  for target in "$@"; do
-    "${target}"
+# The stages of the header list, in the order a bare ./ci.sh runs them. Only
+# these names dispatch: anything else is a usage error, not a command to run.
+STAGES=(tier1 notrace sanitize tsan serve_smoke perf_smoke bench_gate perfbench)
+[[ $# -eq 0 ]] && set -- "${STAGES[@]}"
+for target in "$@"; do
+  known=0
+  for stage in "${STAGES[@]}"; do
+    [[ "${target}" == "${stage}" ]] && known=1
   done
-fi
+  if [[ "${known}" -eq 0 ]]; then
+    echo "ci.sh: unknown stage '${target}'; stages are: ${STAGES[*]}" >&2
+    exit 2
+  fi
+done
+for target in "$@"; do
+  "${target}"
+done
 echo "==== ci.sh: all requested configurations passed ===="

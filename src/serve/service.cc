@@ -1,6 +1,7 @@
 #include "serve/service.h"
 
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <optional>
 #include <utility>
@@ -183,8 +184,10 @@ EvalResponse PqeService::EvaluateOne(const EvalRequest& request,
   if (resp.deadline_exceeded) {
     registry.GetCounter("serve.deadline_exceeded").Increment();
   }
-  registry.GetHistogram("serve.request_ms")
-      .Observe(static_cast<uint64_t>(resp.elapsed_ms));
+  // Whole microseconds, rounded: a warm (answer-memo) request takes tens
+  // of µs and would read 0 in whole milliseconds.
+  registry.GetHistogram("serve.request_us")
+      .Observe(static_cast<uint64_t>(std::llround(resp.elapsed_ms * 1000.0)));
   return resp;
 }
 

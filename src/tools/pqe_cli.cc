@@ -23,7 +23,6 @@
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "rpq/regex.h"
-#include "serve/faultsim.h"
 #include "serve/service.h"
 #include "serve/workload.h"
 #include "tools/fact_file.h"
@@ -48,10 +47,6 @@ struct CliOptions {
   std::string replay_path;
   std::string update_spec;
   uint64_t deadline_ms = 0;
-  bool faultsim = false;
-  uint64_t faultsim_seed = 1;
-  size_t faultsim_sweep = 0;
-  bool faultsim_verbose = false;
   bool trace_text = false;
   bool trace_json = false;
   bool dump_metrics = false;
@@ -147,27 +142,6 @@ const FlagSpec kFlags[] = {
      "print the service stats snapshot as JSON\n"
      "(server-batch and replay modes)",
      [](CliOptions& o, const char*) { o.print_stats = true; }},
-    {"--faultsim-seed", "N",
-     "run the sharded-serving fault-injection harness\n"
-     "with seed N (self-contained; --data not needed):\n"
-     "crashes/drops/delays are injected from the seed's\n"
-     "derived schedule, surviving answers are checked\n"
-     "bit-for-bit against the unfaulted run, and the\n"
-     "seed is re-run to prove it replays exactly",
-     [](CliOptions& o, const char* v) {
-       o.faultsim = true;
-       o.faultsim_seed = std::strtoull(v, nullptr, 10);
-     }},
-    {"--faultsim-sweep", "K",
-     "run the harness for seeds 1..K (default 1);\n"
-     "exit status is non-zero if any seed fails",
-     [](CliOptions& o, const char* v) {
-       o.faultsim = true;
-       o.faultsim_sweep = std::strtoull(v, nullptr, 10);
-     }},
-    {"--faultsim-verbose", nullptr,
-     "print per-request outcomes of the faulted run",
-     [](CliOptions& o, const char*) { o.faultsim_verbose = true; }},
     {"--help", nullptr, "print this help",
      [](CliOptions& o, const char*) { o.help = true; }},
 };
@@ -253,30 +227,6 @@ int main(int argc, char** argv) {
   if (cli.help) {
     Usage();
     return 0;
-  }
-
-  // Faultsim mode is self-contained: the harness generates its own workload
-  // (path queries over seeded layered databases), so no --data is needed.
-  if (cli.faultsim) {
-    bool all_ok = true;
-    const uint64_t first = cli.faultsim_sweep > 0 ? 1 : cli.faultsim_seed;
-    const uint64_t last =
-        cli.faultsim_sweep > 0 ? cli.faultsim_sweep : cli.faultsim_seed;
-    for (uint64_t s = first; s <= last; ++s) {
-      serve::FaultSimOptions fopt;
-      fopt.seed = s;
-      fopt.verbose = cli.faultsim_verbose;
-      auto report = serve::RunFaultSim(fopt);
-      if (!report.ok()) {
-        std::fprintf(stderr, "faultsim seed=%llu: %s\n",
-                     static_cast<unsigned long long>(s),
-                     report.status().ToString().c_str());
-        return 1;
-      }
-      std::printf("%s\n", report->Summary().c_str());
-      all_ok = all_ok && report->ok();
-    }
-    return all_ok ? 0 : 1;
   }
 
   if (cli.data_path.empty() ||

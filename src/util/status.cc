@@ -18,10 +18,6 @@ const char* StatusCodeToString(StatusCode code) {
       return "ResourceExhausted";
     case StatusCode::kDeadlineExceeded:
       return "DeadlineExceeded";
-    case StatusCode::kUnavailable:
-      return "Unavailable";
-    case StatusCode::kPartialResult:
-      return "PartialResult";
     case StatusCode::kInternal:
       return "Internal";
   }

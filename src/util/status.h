@@ -18,9 +18,6 @@ enum class StatusCode {
   kOutOfRange,        // numeric/positional overflow
   kResourceExhausted, // configured budget exceeded (width, states, samples)
   kDeadlineExceeded,  // cooperative cancellation: deadline hit mid-run
-  kUnavailable,       // a serving shard/transport was unreachable (retryable)
-  kPartialResult,     // some answers of a merged result were lost with their
-                      // shard; the surviving ones are complete and exact
   kInternal,          // invariant violation: indicates a library bug
 };
 
@@ -58,12 +55,6 @@ class Status {
   }
   static Status DeadlineExceeded(std::string msg) {
     return Status(StatusCode::kDeadlineExceeded, std::move(msg));
-  }
-  static Status Unavailable(std::string msg) {
-    return Status(StatusCode::kUnavailable, std::move(msg));
-  }
-  static Status PartialResult(std::string msg) {
-    return Status(StatusCode::kPartialResult, std::move(msg));
   }
   static Status Internal(std::string msg) {
     return Status(StatusCode::kInternal, std::move(msg));

@@ -12,6 +12,7 @@
 
 #include "core/engine.h"
 #include "cq/builders.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/prepared_cache.h"
 #include "serve/prepared_query.h"
@@ -392,6 +393,25 @@ TEST(ServeTest, DeadlineIncrementsStatsCounterAndCarriesProgress) {
   EXPECT_EQ(stats.errors, 0u);
 }
 
+TEST(ServeTest, RequestHistogramRecordsWholeMicroseconds) {
+  // serve.request_us keeps sub-millisecond requests visible: a cold request
+  // adds one sample of at least 1 µs, where whole milliseconds read 0.
+  PathFixture fx = MakePathFixture(100);
+  serve::PqeService::Options sopt;
+  sopt.engine = ServeOptions();
+  serve::PqeService service(sopt);
+  obs::Histogram& hist =
+      obs::MetricRegistry::Global().GetHistogram("serve.request_us");
+  const uint64_t count_before = hist.Count();
+  const uint64_t sum_before = hist.Sum();
+
+  EvalRequest r = EvalRequest::ForQuery(fx.qi.query, fx.pdb);
+  r.request_id = 1;
+  ASSERT_TRUE(service.Evaluate(r).status.ok());
+  EXPECT_EQ(hist.Count(), count_before + 1);
+  EXPECT_GE(hist.Sum(), sum_before + 1);
+}
+
 TEST(ServeTest, StatsSnapshotClassifiesCacheEffectiveness) {
   PathFixture a = MakePathFixture(100);
   PathFixture b = MakePathFixture(200);  // same facts, different labelling
@@ -508,6 +528,15 @@ TEST(ServeTest, BatchAssignsIndexIdsAndStaysReproducible) {
   const std::vector<EvalResponse> again = service.EvaluateBatch({r, r});
   ExpectSameAnswer(again[0].answer, resp[0].answer);
   ExpectSameAnswer(again[1].answer, resp[1].answer);
+
+  // A second service with a cold cache serves the same answers: they are a
+  // function of (request, effective id), not of which service held what.
+  serve::PqeService fresh(sopt);
+  const std::vector<EvalResponse> cold = fresh.EvaluateBatch({r, r});
+  ASSERT_EQ(cold.size(), 2u);
+  ASSERT_TRUE(cold[0].status.ok() && cold[1].status.ok());
+  ExpectSameAnswer(cold[0].answer, resp[0].answer);
+  ExpectSameAnswer(cold[1].answer, resp[1].answer);
 }
 
 }  // namespace
