@@ -158,8 +158,10 @@ void PipelinePart() {
     }
   }
   std::printf(
-      "  finding: both pipelines estimate the same probability; the string\n"
-      "  route avoids forest strata and is the cheaper choice on paths.\n");
+      "  finding: both pipelines estimate the same probability within the\n"
+      "  error of these small pools; both run the one tree counter (strings\n"
+      "  as unary trees, whose forest strata are pool-free views), and the\n"
+      "  string route counts on the smaller automaton.\n");
 }
 
 }  // namespace

@@ -38,6 +38,13 @@ tier1() {
     echo "tier-1: counter sources must not include <map> or <unordered_map>"
     exit 1
   fi
+  # CountNFA is an encoding onto the tree counter: a second stratum
+  # expansion over the union estimator must not grow back.
+  if grep -n '#include "counting/union_estimator.h"' \
+      src/counting/count_nfa.cc; then
+    echo "tier-1: count_nfa.cc must not include counting/union_estimator.h"
+    exit 1
+  fi
   # Warnings are errors here: the default build is warning-free, and this
   # keeps it so.
   run_config "tier-1" build -DPQE_WERROR=ON

@@ -1,5 +1,6 @@
 #include "automata/ops.h"
 
+#include <algorithm>
 #include <map>
 #include <utility>
 #include <vector>
@@ -106,6 +107,45 @@ Result<Nfta> UnionNfta(const Nfta& a, const Nfta& b) {
   };
   copy(a, map_a);
   copy(b, map_b);
+  return out;
+}
+
+Nfta UnaryNfta(const Nfa& a) {
+  Nfta out;
+  out.EnsureAlphabetSize(a.AlphabetSize());
+  for (StateId s = 0; s < a.NumStates(); ++s) out.AddState();
+  const StateId root = out.AddState();
+  out.SetInitialState(root);
+  for (const Nfa::Transition& t : a.transitions()) {
+    out.AddTransitionView(t.to, t.symbol, Span<StateId>(&t.from, 1));
+  }
+  // The first symbols: leaves (q, a) for the edges initial --a--> q.
+  std::vector<SymbolId> first;
+  std::vector<std::pair<SymbolId, StateId>> last;  // root's (a, p)
+  std::vector<SymbolId> root_leaves;
+  for (StateId q = 0; q < a.NumStates(); ++q) {
+    first.clear();
+    for (uint32_t idx : a.InTransitions(q)) {
+      const Nfa::Transition& t = a.transitions()[idx];
+      if (a.IsInitial(t.from)) first.push_back(t.symbol);
+      if (a.IsAccepting(q)) last.emplace_back(t.symbol, t.from);
+    }
+    std::sort(first.begin(), first.end());
+    first.erase(std::unique(first.begin(), first.end()), first.end());
+    for (SymbolId symbol : first) out.AddTransition(q, symbol, {});
+    if (a.IsAccepting(q)) {
+      root_leaves.insert(root_leaves.end(), first.begin(), first.end());
+    }
+  }
+  std::sort(last.begin(), last.end());
+  last.erase(std::unique(last.begin(), last.end()), last.end());
+  for (const auto& [symbol, p] : last) {
+    out.AddTransitionView(root, symbol, Span<StateId>(&p, 1));
+  }
+  std::sort(root_leaves.begin(), root_leaves.end());
+  root_leaves.erase(std::unique(root_leaves.begin(), root_leaves.end()),
+                    root_leaves.end());
+  for (SymbolId symbol : root_leaves) out.AddTransition(root, symbol, {});
   return out;
 }
 

@@ -25,6 +25,17 @@ Nfa ReverseNfa(const Nfa& a);
 /// transitions. Fails if either automaton still has λ-transitions.
 Result<Nfta> UnionNfta(const Nfta& a, const Nfta& b);
 
+/// The string automaton as a unary tree automaton (the paper's footnote 2: a
+/// string is a degenerate tree): trees of size n read bottom-up spell the
+/// strings of length n of `a`, and ExactCountNftaTrees(UnaryNfta(a), n) ==
+/// ExactCountNfaStrings(a, n) for n ≥ 1. The states are a's states plus a
+/// fresh initial root; state q generates the strings that drive an initial
+/// state to q. Each transition (p, a, q) becomes (q, a, [p]) (its index is
+/// kept), each distinct a on an edge from an initial state into q becomes a
+/// leaf (q, a), and the root copies the in-edges of the accepting states,
+/// deduplicated on (a, p), and their leaves, deduplicated on a.
+Nfta UnaryNfta(const Nfa& a);
+
 }  // namespace pqe
 
 #endif  // PQE_AUTOMATA_OPS_H_

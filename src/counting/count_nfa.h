@@ -13,16 +13,14 @@ namespace pqe {
 /// |L_n(M)|, the number of strings of length exactly n accepted by the NFA,
 /// within (1 ± ε) with high probability, in time poly(n, |M|, 1/ε).
 ///
-/// Implementation: length-stratified dynamic programming. For each state q
-/// and length l, the algorithm maintains an estimate of |A(q, l)| (strings of
-/// length l that can drive some initial state to q) together with a pool of
-/// (near-)uniform samples. A(q, l) = ∪_{(p,a,q)∈δ} A(p, l−1)·a is a union of
-/// overlapping sets, estimated Karp–Luby style: sample a predecessor
-/// transition proportional to its estimate, extend a pooled sample, and
-/// accept iff the chosen transition is the *canonical* one for the resulting
-/// string — decided exactly by subset simulation (membership in A(p, l−1) is
-/// "p is reachable on the prefix", a poly-time oracle). The final answer
-/// applies the same estimator to the union over accepting states.
+/// Implementation: a string is a unary tree (the paper's footnote 2), so
+/// this is CountNFTA (counting/count_nfta.h) on UnaryNfta of the trimmed
+/// automaton (automata/ops.h), run under CountNFA's names: spans
+/// "count.nfa" / "count.nfa.rep", metrics "pqe.count_nfa.*", and deadline
+/// errors "count_nfa: cancelled at length stratum k/n". The tree counter's
+/// A(q, l) is the set of strings of length l that drive an initial state to
+/// q, and its root-state sets are the subset simulation's reach sets. At
+/// n = 0 the count is exact: 1 if an initial state accepts, else 0.
 Result<CountEstimate> CountNfaStrings(const Nfa& nfa, size_t n,
                                       const EstimatorConfig& config);
 

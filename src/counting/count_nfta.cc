@@ -10,7 +10,6 @@
 #include "counting/median_of_r.h"
 #include "counting/union_estimator.h"
 #include "obs/trace.h"
-#include "util/check.h"
 
 namespace pqe {
 
@@ -25,11 +24,15 @@ struct TreeKey {
 };
 
 // A forest stratum F(τ, j, s): ordered forests for the first j children of
-// transition τ, of total size s.
+// transition τ, of total size s. F(τ, 1, s) has at most one split, the
+// child stratum A(child₁(τ), s) itself, and no pool of its own: `split`
+// names that split once the stratum is processed (kNone if it has none),
+// and its sample i is the child's tree sample i (ForestAt).
 struct ForestKey {
   uint32_t tau;
   uint32_t j;
   uint32_t size;
+  uint32_t split = kNone;
 };
 
 // A split of F(τ, j, s) at `size`: the prefix forest stratum
@@ -60,11 +63,12 @@ using ForestStratum = Stratum<ForestKey, ForestSample>;
 
 class NftaCounter {
  public:
-  NftaCounter(const Nfta& nfta, size_t n, const EstimatorConfig& config)
+  NftaCounter(const Nfta& nfta, size_t n, const EstimatorConfig& config,
+              const CounterNames& names)
       : nfta_(nfta),
         n_(n),
         config_(config),
-        est_(config, n, "count_nfta", "size"),
+        est_(config, n, names.counter, names.unit),
         arena_(nfta.NumStates(), est_.blocks()) {}
 
   Result<CountEstimate> Run() {
@@ -401,15 +405,30 @@ class NftaCounter {
     stats.strata_live = trees_.size() + forests_.size();
   }
 
+  // --- Forest pools --------------------------------------------------------
+
+  // The number of samples of forest stratum `id`, and its sample `idx`. An
+  // arity-1 prefix F(τ, 1, s) reads the pool of its one child stratum.
+  size_t ForestPoolSize(uint32_t id) const {
+    const ForestStratum& f = forests_[id];
+    if (f.key.j != 1) return f.pool.size();
+    if (f.key.split == kNone) return 0;
+    return trees_[splits_[f.key.split].child].pool.size();
+  }
+  ForestSample ForestAt(uint32_t id, uint32_t idx) const {
+    const ForestStratum& f = forests_[id];
+    if (f.key.j != 1) return f.pool[idx];
+    return ForestSample{f.key.split, 0, idx};
+  }
+
   // --- Materialization ---------------------------------------------------
 
-  // The transition at the root of `sample`, a tree of size `size`.
-  uint32_t RootTransition(uint32_t size, const PooledSample& sample) const {
-    return size == 1 ? sample.ref : forests_[sample.ref].key.tau;
-  }
+  // The symbol at the root of tree sample `idx` of tree stratum `id`.
   SymbolId RootSymbol(uint32_t id, uint32_t idx) const {
-    const uint32_t tau =
-        RootTransition(trees_[id].key.size, trees_[id].pool[idx]);
+    const PooledSample& sample = trees_[id].pool[idx];
+    const uint32_t tau = trees_[id].key.size == 1
+                             ? sample.ref
+                             : forests_[sample.ref].key.tau;
     return nfta_.transition(tau).symbol;
   }
 
@@ -424,7 +443,7 @@ class NftaCounter {
 
   void MaterializeForest(uint32_t id, uint32_t idx, uint32_t parent,
                          LabeledTree* out) const {
-    const ForestSample& f = forests_[id].pool[idx];
+    const ForestSample f = ForestAt(id, idx);
     const Split& split = splits_[f.split];
     if (split.prefix != kNone) {
       MaterializeForest(split.prefix, f.prefix, parent, out);
@@ -440,8 +459,11 @@ class NftaCounter {
   // F(τ, m_τ, s−1) }. Transitions with distinct symbols generate disjoint
   // tree sets, so only a group of same-symbol transitions (rare outside
   // witness-choice states) needs the Karp–Luby estimator; its canonical
-  // member is CanonicalTransition. A leaf transition is a member of A(q, 1)
-  // only, with weight 1, and draws no forest.
+  // member is the first group member, in the estimator's (symbol,
+  // transition) order, whose child states accept the sample's subtrees. A
+  // leaf transition is a member of A(q, 1) only, with weight 1, and draws no
+  // forest; at size 1 a group is all leaves, so its first member is
+  // canonical.
   void ProcessTreeStratum(uint32_t id) {
     const TreeKey key = trees_[id].key;
     members_.clear();
@@ -458,13 +480,24 @@ class NftaCounter {
       const uint32_t forest = FindForest(tau, m, key.size - 1);
       if (forest == kNone || forests_[forest].estimate.IsZero()) continue;
       members_.push_back(UnionMember{t.symbol, tau, forest,
-                                     forests_[forest].pool.size(),
+                                     ForestPoolSize(forest),
                                      forests_[forest].estimate});
     }
-    auto canonical = [&](const UnionMember*, const UnionMember*,
+    const Nfta::Transition* trans = nfta_.transitions().data();
+    auto canonical = [&](const UnionMember* begin, const UnionMember*,
                          const UnionMember& chosen,
                          const PooledSample& sample) {
-      return CanonicalTransition(key, sample) == chosen.transition;
+      const size_t m = trans[chosen.transition].children.size();
+      const size_t base = m == 0 ? sets_.size()
+                                 : PushChildSets(sample.ref, sample.index);
+      const UnionMember* first = begin;
+      while (first != &chosen) {
+        const Nfta::Transition& c = trans[first->transition];
+        if (c.children.size() == m && ChildrenAccept(c, base, 0)) break;
+        ++first;
+      }
+      sets_.resize(base);
+      return first == &chosen;
     };
     TreeStratum& stratum = trees_[id];
     stratum.estimate =
@@ -472,7 +505,8 @@ class NftaCounter {
   }
 
   // F(τ, j, s) = ⊎_split F(τ, j−1, s−split) × A(child_j, split): exact
-  // disjoint sum of products; samples compose without rejection.
+  // disjoint sum of products; samples compose without rejection. F(τ, 1, s)
+  // is its one split's child stratum, so it records the split and no pool.
   void ProcessForestStratum(uint32_t id) {
     const ForestKey key = forests_[id].key;
     const StateId child = nfta_.transition(key.tau).children[key.j - 1];
@@ -507,6 +541,10 @@ class NftaCounter {
     stratum.estimate = total;
     const size_t num_splits = splits_.size() - first;
     if (num_splits == 0) return;
+    if (key.j == 1) {
+      stratum.key.split = first;
+      return;
+    }
 
     if (num_splits > 1) est_.BuildPicker(weights_);
     const size_t target = est_.pool_target();
@@ -526,7 +564,7 @@ class NftaCounter {
         const Split& split = splits_[pick];
         uint32_t prefix_idx = 0;
         if (split.prefix != kNone) {
-          const size_t bound = forests_[split.prefix].pool.size();
+          const size_t bound = ForestPoolSize(split.prefix);
           if (bound == 0) continue;
           prefix_idx = static_cast<uint32_t>(
               Rng::BoundedFromWord(words[3 * i + 1], bound));
@@ -582,7 +620,7 @@ class NftaCounter {
     const size_t base = sets_.size();
     sets_.resize(base + forests_[id].key.j);
     for (size_t j = forests_[id].key.j; j > 0; --j) {
-      const ForestSample f = forests_[id].pool[idx];
+      const ForestSample f = ForestAt(id, idx);
       const Split split = splits_[f.split];
       const uint32_t set = RootStates(split.child, f.tree);
       sets_[base + j - 1] = set;
@@ -650,32 +688,6 @@ class NftaCounter {
     return sample.memo;
   }
 
-  // The canonical generating transition for tree sample `sample` of the
-  // stratum `key` = A(q, s): the smallest-index τ' ∈ out(q) whose symbol and
-  // arity match and whose child states accept the respective subtrees
-  // (decided exactly by bottom-up simulation, memoized over the sample's
-  // pooled child subtrees).
-  uint32_t CanonicalTransition(const TreeKey& key, const PooledSample& sample) {
-    const uint32_t tau = RootTransition(key.size, sample);
-    const Nfta::Transition* trans = nfta_.transitions().data();
-    const Nfta::Transition& t = trans[tau];
-    const size_t m = t.children.size();
-    const size_t base = m == 0 ? sets_.size()
-                               : PushChildSets(sample.ref, sample.index);
-    uint32_t found = kNone;
-    for (uint32_t cand : nfta_.OutTransitions(key.state)) {
-      const Nfta::Transition& c = trans[cand];
-      if (c.symbol == t.symbol && c.children.size() == m &&
-          ChildrenAccept(c, base, 0)) {
-        found = cand;
-        break;
-      }
-    }
-    sets_.resize(base);
-    PQE_CHECK(found != kNone);  // the sample's own transition matches
-    return found;
-  }
-
   const Nfta& nfta_;
   const size_t n_;
   const EstimatorConfig& config_;
@@ -710,6 +722,10 @@ class NftaCounter {
   std::vector<ExtFloat> weights_;
 };
 
+constexpr CounterNames kTreeNames{"count.nfta", "count.nfta.rep",
+                                  "pqe.count_nfta", "count_nfta",
+                                  "size", "tree_size"};
+
 }  // namespace
 
 Result<NftaSampleResult> CountAndSampleNftaTrees(
@@ -718,37 +734,42 @@ Result<NftaSampleResult> CountAndSampleNftaTrees(
   if (config.epsilon <= 0.0 || config.epsilon >= 1.0) {
     return Status::InvalidArgument("epsilon must be in (0, 1)");
   }
-  PQE_TRACE_SPAN_VAR(span, "count.nfta");
+  PQE_TRACE_SPAN_VAR(span, kTreeNames.span);
   span.AttrUint("states", nfta.NumStates());
   span.AttrUint("transitions", nfta.NumTransitions());
-  span.AttrUint("tree_size", n);
+  span.AttrUint(kTreeNames.size_attr, n);
   span.AttrUint("samples_requested", num_samples);
-  NftaCounter counter(nfta, n, config);
+  NftaCounter counter(nfta, n, config, kTreeNames);
   NftaSampleResult out;
   PQE_ASSIGN_OR_RETURN(out.estimate, counter.Run());
   out.samples = counter.SampleAccepted(num_samples);
-  RecordCountRun("pqe.count_nfta", out.estimate.stats, &span);
+  RecordCountRun(kTreeNames.metrics, out.estimate.stats, &span);
   return out;
 }
 
 Result<CountEstimate> CountNftaTrees(const Nfta& nfta, size_t n,
                                      const EstimatorConfig& config) {
+  return CountNftaTrees(nfta, n, config, kTreeNames);
+}
+
+Result<CountEstimate> CountNftaTrees(const Nfta& nfta, size_t n,
+                                     const EstimatorConfig& config,
+                                     const CounterNames& names) {
   if (config.epsilon <= 0.0 || config.epsilon >= 1.0) {
     return Status::InvalidArgument("epsilon must be in (0, 1)");
   }
-  PQE_TRACE_SPAN_VAR(span, "count.nfta");
+  PQE_TRACE_SPAN_VAR(span, names.span);
   span.AttrUint("states", nfta.NumStates());
   span.AttrUint("transitions", nfta.NumTransitions());
-  span.AttrUint("tree_size", n);
-  return CountMedianOfR(
-      config, CounterNames{"count.nfta.rep", "pqe.count_nfta"}, &span,
-      // The membership oracle's lazy index must exist before the const
-      // automaton is shared across workers (building it mutates `mutable`
-      // members).
-      [&nfta] { nfta.WarmRunIndex(); },
-      [&](const EstimatorConfig& rep_config) {
-        return NftaCounter(nfta, n, rep_config).Run();
-      });
+  span.AttrUint(names.size_attr, n);
+  // The membership oracle's lazy index must exist before the const
+  // automaton is shared across repetition workers (building it mutates
+  // `mutable` members).
+  nfta.WarmRunIndex();
+  return CountMedianOfR(config, names, &span,
+                        [&](const EstimatorConfig& rep_config) {
+                          return NftaCounter(nfta, n, rep_config, names).Run();
+                        });
 }
 
 }  // namespace pqe

@@ -15,7 +15,7 @@ namespace pqe {
 
 Result<CountEstimate> CountMedianOfR(
     const EstimatorConfig& config, const CounterNames& names,
-    obs::ScopedSpan* span, const std::function<void()>& warm,
+    obs::ScopedSpan* span,
     const std::function<Result<CountEstimate>(const EstimatorConfig&)>&
         run_one) {
   const size_t reps = std::max<size_t>(config.repetitions, 1);
@@ -28,7 +28,6 @@ Result<CountEstimate> CountMedianOfR(
   const size_t threads =
       std::min(ThreadPool::ResolveNumThreads(config.num_threads), reps);
   span->AttrUint("threads", threads);
-  warm();
   std::vector<CountEstimate> runs(reps);
   std::vector<Status> rep_status(reps, Status::OK());
   auto& rep_hist = obs::MetricRegistry::Global().GetHistogram(

@@ -1,14 +1,15 @@
 #ifndef PQE_COUNTING_UNION_ESTIMATOR_H_
 #define PQE_COUNTING_UNION_ESTIMATOR_H_
 
-// The stratum store and the per-stratum union estimator that CountNFA and
-// CountNFTA share. Both counters instantiate the ACJR template (Arenas et
-// al., arXiv 2005.10029): every live stratum keeps an estimate of its size
-// and a pool of near-uniform samples, and a stratum that is an overlapping
-// union of smaller strata is estimated Karp–Luby style. A counter owns only
-// how a stratum expands into union members and how membership of a sample
-// is decided; the group loop, the forced-sample fallback, the pool mixture,
-// the block arena and the cancellation poll are written once, here.
+// The stratum store and the per-stratum union estimator of the ACJR
+// template (Arenas et al., arXiv 2005.10029) that CountNFTA instantiates,
+// and CountNFA with it through the unary encoding: every live stratum keeps
+// an estimate of its size and a pool of near-uniform samples, and a stratum
+// that is an overlapping union of smaller strata is estimated Karp–Luby
+// style. The counter owns how a stratum expands into union members and how
+// membership of a sample is decided; the group loop, the forced-sample
+// fallback, the pool mixture, the block arena and the cancellation poll
+// live here.
 
 #include <algorithm>
 #include <cstddef>
@@ -35,7 +36,7 @@ class Histogram;
 // is a few KiB — resident in L1 while the acceptance pass runs over it.
 inline constexpr size_t kDrawBatch = 256;
 
-// Sorted state sets (the counters' memoized reach and root-state sets),
+// Sorted state sets (the counter's memoized root-state sets),
 // each stored as its length followed by its states, back to back in blocks
 // of 2^14 states (64 KB, the BlockPool's class), or of the next power of two
 // above |S| when that is larger, so a set never spans two blocks. Fixed-size
@@ -66,10 +67,10 @@ class SetArena {
 };
 
 // A pooled sample, stored as a derivation reference: `ref` names the last
-// step taken (a string's in-transition; a tree's child-forest stratum, or
-// its transition when the tree is a leaf), `index` the sample of the
-// predecessor pool that step extends, and `memo` the sample's memoized
-// state set in the run's SetArena (SetArena::kNoSet until computed).
+// step taken (a tree's child-forest stratum, or its transition when the
+// tree is a leaf), `index` the sample of the predecessor pool that step
+// extends, and `memo` the sample's memoized state set in the run's SetArena
+// (SetArena::kNoSet until computed).
 // Samples are never materialized, so a pool costs O(1) memory per sample.
 struct PooledSample {
   uint32_t ref = 0;
@@ -97,7 +98,7 @@ class PoolSlice {
   uint32_t size_ = 0;
 };
 
-// Carves one run's pool slices, of both counters' sample types, back to
+// Carves one run's pool slices, of tree and forest sample types, back to
 // back out of 64 KB blocks: at the default pool target (768) a block holds
 // 7 pools of 12-byte samples. A slice larger than a block gets a block of
 // its own, which bypasses the free list.
@@ -148,9 +149,9 @@ struct UnionMember {
   ExtFloat weight;      // estimate of |B_k|
 };
 
-// The state of one counter run that both counters share: the RNG, the
-// stats, the pool target, the run's storage blocks, the cancellation poll
-// and the per-stratum scratch of the union estimator.
+// The state of one counter run: the RNG, the stats, the pool target, the
+// run's storage blocks, the cancellation poll and the per-stratum scratch
+// of the union estimator.
 class UnionEstimator {
  public:
   // `counter` and `unit` name the run in a DeadlineError, e.g. "count_nfa"

@@ -1,10 +1,13 @@
 // Tests for automata set operations, cross-validated with the exact
 // counters: |L_n(A∪B)| = |L_n(A)| + |L_n(B)| − |L_n(A∩B)|, reversal
-// preserves counts, products decide disjointness.
+// preserves counts, products decide disjointness, and the unary tree
+// encoding of a string automaton counts its strings.
 
 #include <gtest/gtest.h>
 
 #include "automata/ops.h"
+#include "counting/count_nfa.h"
+#include "counting/count_nfta.h"
 #include "counting/exact.h"
 #include "util/rng.h"
 
@@ -68,6 +71,75 @@ TEST(NfaOpsTest, IntersectionOfDisjointLanguagesIsEmpty) {
   EXPECT_EQ(ExactCountNfaStrings(both, 3)->ToDecimalString(), "0");
   // Length 0: the empty string is in both.
   EXPECT_EQ(ExactCountNfaStrings(both, 0)->ToDecimalString(), "1");
+}
+
+// Several initial states, some of them accepting, over 1–2 symbols: the
+// shapes that exercise the encoding's leaves and root edges.
+Nfa RandomMultiInitialNfa(Rng* rng) {
+  const size_t states = 2 + rng->NextBounded(5);
+  const size_t alphabet = 1 + rng->NextBounded(2);
+  Nfa nfa;
+  for (size_t i = 0; i < states; ++i) nfa.AddState();
+  nfa.EnsureAlphabetSize(alphabet);
+  for (size_t i = 0; i < 1 + states / 2; ++i) {
+    const StateId s = static_cast<StateId>(rng->NextBounded(states));
+    nfa.MarkInitial(s);
+    if (rng->NextBounded(2) == 0) nfa.MarkAccepting(s);
+  }
+  nfa.MarkAccepting(static_cast<StateId>(rng->NextBounded(states)));
+  const size_t transitions = 3 + rng->NextBounded(3 * states);
+  for (size_t i = 0; i < transitions; ++i) {
+    nfa.AddTransition(static_cast<StateId>(rng->NextBounded(states)),
+                      static_cast<SymbolId>(rng->NextBounded(alphabet)),
+                      static_cast<StateId>(rng->NextBounded(states)));
+  }
+  return nfa;
+}
+
+TEST(UnaryNftaTest, TreesCountTheStrings) {
+  Rng rng(0x0a7);
+  for (int round = 0; round < 40; ++round) {
+    const Nfa a = RandomMultiInitialNfa(&rng);
+    const Nfta t = UnaryNfta(a);
+    for (size_t n = 1; n <= 6; ++n) {
+      auto strings = ExactCountNfaStrings(a, n);
+      auto trees = ExactCountNftaTrees(t, n);
+      ASSERT_TRUE(strings.ok() && trees.ok());
+      EXPECT_EQ(trees->ToDecimalString(), strings->ToDecimalString())
+          << "round " << round << " n " << n << "\n"
+          << a.DebugString();
+    }
+  }
+}
+
+// CountNFA is CountNFTA on the trimmed automaton's encoding: same draws,
+// same estimate, same stats.
+TEST(UnaryNftaTest, CountNfaIsTheTreeCounterOnTheEncoding) {
+  Rng rng(0x0a8);
+  uint64_t attempts = 0;
+  for (int round = 0; round < 12; ++round) {
+    const Nfa a = RandomMultiInitialNfa(&rng);
+    Nfa trimmed = a;
+    trimmed.Trim();
+    const Nfta t = UnaryNfta(trimmed);
+    const size_t n = 1 + rng.NextBounded(6);
+    for (uint64_t seed : {1, 2, 3}) {
+      EstimatorConfig cfg;
+      cfg.epsilon = 0.3;
+      cfg.seed = seed;
+      cfg.pool_size = 48;
+      auto strings = CountNfaStrings(a, n, cfg);
+      auto trees = CountNftaTrees(t, n, cfg);
+      ASSERT_TRUE(strings.ok() && trees.ok());
+      const std::string where =
+          "round " + std::to_string(round) + " seed " + std::to_string(seed);
+      EXPECT_EQ(strings->value.ToString(), trees->value.ToString()) << where;
+      EXPECT_EQ(strings->value.Log2(), trees->value.Log2()) << where;
+      EXPECT_EQ(strings->stats.ToString(), trees->stats.ToString()) << where;
+      attempts += strings->stats.attempts;
+    }
+  }
+  EXPECT_GT(attempts, 0u) << "no Karp–Luby group ran";
 }
 
 TEST(NftaOpsTest, UnionCountsMatchInclusionExclusion) {

@@ -267,10 +267,10 @@ struct PinnedRow {
 };
 
 constexpr PinnedRow kPinnedRows[] = {
-    {"tree_caterpillar3", "3fb022a5a0128895", 320, 631, 46},
+    {"tree_caterpillar3", "3fae1045ae462847", 320, 631, 46},
     {"path_cq3", "3fe65abc2186185d", 329, 654, 36},
-    {"rpq_product", "3fe1daecccccccc9", 331, 650, 28},
-    {"tree_delta_patch", "3fb37d5986d93b36", 320, 631, 46},
+    {"rpq_product", "3fe1da924924924e", 331, 650, 28},
+    {"tree_delta_patch", "3fb4ace2ec81541b", 320, 631, 46},
 };
 
 std::string ProbabilityBits(double p) {

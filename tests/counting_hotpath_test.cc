@@ -324,7 +324,7 @@ const PinnedRun kNftaRandomRuns[] = {
     // seed 1
     {"0", "fff0000000000000", {70, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
     // seed 2
-    {"18", "4010ae00d1cfdeb4", {104, 30, 1440, 0, 0, 0, 0, 4, 30, 0, 0}},
+    {"18", "4010ae00d1cfdeb4", {104, 30, 816, 0, 0, 0, 0, 4, 17, 0, 0}},
     // seed 3
     {"0", "fff0000000000000", {58, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
     // seed 4
@@ -333,163 +333,162 @@ const PinnedRun kNftaRandomRuns[] = {
     {"0", "fff0000000000000", {129, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
     // seed 6
     {"44", "4015d6753e032ea1",
-     {196, 50, 2400, 1280, 1280, 0, 1280, 14, 55, 2531, 354}},
+     {196, 50, 1488, 1280, 1280, 0, 1280, 14, 36, 2590, 385}},
     // seed 7
     {"0", "fff0000000000000", {211, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
     // seed 8
     {"11", "400bacea7c065d42",
-     {135, 43, 2064, 1280, 1280, 0, 1280, 9, 48, 1840, 409}},
+     {135, 43, 1152, 1280, 1280, 0, 1280, 9, 29, 1878, 476}},
     // seed 9
-    {"8.08594", "40081f91ed4eef83",
-     {114, 25, 1200, 256, 230, 0, 256, 5, 26, 736, 176}},
+    {"7.83984", "4007c43fd88bf57c",
+     {114, 25, 864, 256, 223, 0, 256, 5, 19, 736, 198}},
     // seed 10
     {"4", "4000000000000000",
-     {189, 19, 912, 256, 256, 0, 256, 2, 20, 619, 149}},
+     {189, 19, 720, 256, 256, 0, 256, 2, 16, 609, 159}},
     // seed 11
-    {"31.0703", "4013d471aa306463",
-     {259, 63, 3024, 1536, 1411, 0, 1536, 17, 69, 3212, 428}},
+    {"31.1875", "4013da0169117d84",
+     {259, 63, 1968, 1536, 1416, 0, 1536, 17, 47, 3175, 440}},
     // seed 12
-    {"4", "4000000000000000", {170, 24, 1152, 0, 0, 0, 0, 3, 24, 0, 0}},
+    {"4", "4000000000000000", {170, 24, 720, 0, 0, 0, 0, 3, 15, 0, 0}},
     // seed 13
     {"0", "fff0000000000000", {84, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
     // seed 14
-    {"1", "0000000000000000", {80, 11, 528, 0, 0, 0, 0, 0, 11, 0, 0}},
+    {"1", "0000000000000000", {80, 11, 288, 0, 0, 0, 0, 0, 6, 0, 0}},
     // seed 15
-    {"2", "3ff0000000000000", {94, 10, 480, 256, 128, 0, 256, 2, 11, 440, 72}},
+    {"2", "3ff0000000000000", {94, 10, 288, 256, 128, 0, 256, 2, 7, 441, 71}},
     // seed 16
-    {"1", "0000000000000000", {142, 15, 720, 0, 0, 0, 0, 0, 15, 0, 0}},
+    {"1", "0000000000000000", {142, 15, 384, 0, 0, 0, 0, 0, 8, 0, 0}},
     // seed 17
-    {"5.45273", "4003936956e2e73b",
-     {136, 21, 1008, 512, 345, 0, 512, 3, 23, 522, 210}},
+    {"5.60681", "4003e5beedb3774f",
+     {136, 21, 528, 512, 349, 0, 512, 3, 13, 494, 250}},
     // seed 18
-    {"119.752", "401b9d996697ab00",
-     {172, 72, 3456, 3072, 2369, 0, 3072, 29, 84, 4323, 335}},
+    {"134.947", "401c4e15044c8cec",
+     {172, 72, 1536, 3072, 2419, 0, 3072, 29, 44, 4361, 367}},
     // seed 19
-    {"12.8594", "400d7a5d7c158937",
-     {125, 43, 2064, 512, 246, 0, 512, 11, 45, 941, 121}},
+    {"12.8984", "400d8353a7efd2c0",
+     {125, 43, 1392, 512, 242, 0, 512, 11, 31, 932, 131}},
     // seed 20
     {"4", "4000000000000000",
-     {186, 18, 864, 512, 512, 0, 512, 3, 20, 915, 204}},
+     {186, 18, 576, 512, 512, 0, 512, 3, 14, 914, 237}},
     // seed 21
-    {"185.023", "401e2051888dc3de",
-     {158, 83, 3984, 4096, 3144, 0, 4096, 47, 99, 6664, 512}},
+    {"180.51", "401dfbd67ee99abe",
+     {158, 83, 2064, 4096, 3124, 0, 4096, 47, 59, 6704, 573}},
     // seed 22
-    {"2.00781", "3ff01709c46d7aac",
-     {56, 13, 624, 256, 129, 0, 256, 2, 14, 216, 40}},
+    {"1.97656", "3fef74aef0efafae",
+     {56, 13, 432, 256, 125, 0, 256, 2, 10, 208, 48}},
     // seed 23
     {"12", "400cae00d1cfdeb4",
-     {68, 19, 912, 256, 256, 0, 256, 6, 20, 598, 130}},
+     {68, 19, 576, 256, 256, 0, 256, 6, 13, 614, 132}},
     // seed 24
     {"24", "4012570068e7ef5a",
-     {110, 46, 2208, 512, 512, 0, 512, 14, 48, 1320, 225}},
+     {110, 46, 1392, 512, 512, 0, 512, 14, 31, 1322, 231}},
     // seed 25
     {"0", "fff0000000000000", {50, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
     // seed 26
     {"30.0469", "4013a2f6651ed7b2",
-     {211, 58, 2784, 1536, 1486, 0, 1536, 13, 64, 2993, 481}},
+     {211, 58, 1728, 1536, 1486, 0, 1536, 13, 42, 3016, 558}},
     // seed 27
     {"0", "fff0000000000000", {175, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
     // seed 28
-    {"1", "0000000000000000", {57, 7, 336, 0, 0, 0, 0, 0, 7, 0, 0}},
+    {"1", "0000000000000000", {57, 7, 240, 0, 0, 0, 0, 0, 5, 0, 0}},
     // seed 29
-    {"3", "3ff95c01a39fbd68", {111, 14, 672, 0, 0, 0, 0, 2, 14, 0, 0}},
+    {"3", "3ff95c01a39fbd68", {111, 14, 480, 0, 0, 0, 0, 2, 10, 0, 0}},
     // seed 30
-    {"2450.05", "40268466fe3a6e21",
-     {160, 103, 4944, 6144, 4692, 0, 6144, 60, 127, 8358, 607}},
+    {"2474.05", "40268b9a0a8aaa19",
+     {160, 103, 2112, 6144, 4702, 0, 6144, 60, 68, 8393, 662}},
 };
 
 const PinnedRun kNftaAmbiguousRuns[] = {
     // seed 1
-    {"154.04", "401d1193de0db787",
-     {109, 26, 1248, 1792, 1228, 0, 1792, 8, 33, 3715, 329}},
+    {"132.373", "401c31a041de0c5b",
+     {109, 26, 1152, 1792, 1201, 0, 1792, 8, 31, 3694, 372}},
     // seed 2
-    {"134.927", "401c4ddc119d49f8",
-     {109, 26, 1248, 1792, 1204, 0, 1792, 8, 33, 3713, 343}},
+    {"136.131", "401c5afc1217b1e3",
+     {109, 26, 1152, 1792, 1206, 0, 1792, 8, 31, 3673, 369}},
     // seed 3
-    {"111.801", "401b381a29a54cd9",
-     {109, 26, 1248, 1792, 1173, 0, 1792, 8, 33, 3720, 342}},
+    {"103.532", "401ac696208cf85d",
+     {109, 26, 1152, 1792, 1161, 0, 1792, 8, 31, 3696, 382}},
     // seed 4
-    {"148.402", "401cda7d5d090852",
-     {109, 26, 1248, 1792, 1221, 0, 1792, 8, 33, 3725, 341}},
+    {"142.665", "401ca03d96232fae",
+     {109, 26, 1152, 1792, 1214, 0, 1792, 8, 31, 3683, 373}},
     // seed 5
-    {"108.131", "401b06ca36cb0f01",
-     {109, 26, 1248, 1792, 1167, 0, 1792, 8, 33, 3727, 347}},
+    {"117.096", "401b7c76cd7694c3",
+     {109, 26, 1152, 1792, 1180, 0, 1792, 8, 31, 3685, 375}},
 };
 
 const PinnedRun kNfaRandomRuns[] = {
     // seed 1
-    {"148.986", "401ce048e88b8d4f",
-     {16, 15, 624, 6400, 1312, 0, 6400, 32, 38, 6398, 571}},
+    {"157.688", "401d3427dd9c474d",
+     {173, 96, 624, 5632, 1219, 0, 5632, 29, 35, 5536, 571}},
     // seed 2
-    {"6.82731", "40062ba7eaef31d6",
-     {35, 21, 816, 1536, 926, 0, 1536, 9, 23, 1532, 611}},
+    {"6.93848", "40065b612bf6f882",
+     {122, 38, 720, 1280, 733, 0, 1280, 9, 20, 1107, 446}},
     // seed 3
-    {"0", "fff0000000000000", {18, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
+    {"0", "fff0000000000000", {5, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
     // seed 4
-    {"1", "0000000000000000", {48, 8, 336, 0, 0, 0, 0, 0, 7, 0, 0}},
+    {"1", "0000000000000000", {60, 13, 336, 0, 0, 0, 0, 0, 7, 0, 0}},
     // seed 5
-    {"137.707", "401c6bfcab233746",
-     {45, 35, 1584, 3072, 2201, 0, 3072, 34, 45, 3070, 1197}},
+    {"140.708", "401c8bd56fed9ac9",
+     {174, 93, 1536, 3072, 2176, 0, 3072, 34, 44, 2906, 1127}},
     // seed 6
-    {"2", "3ff0000000000000", {28, 14, 576, 256, 256, 0, 256, 1, 13, 254, 280}},
+    {"2", "3ff0000000000000", {79, 21, 528, 0, 0, 0, 0, 1, 11, 0, 0}},
     // seed 7
-    {"32.3199", "40140eb200b5bc0e",
-     {18, 17, 672, 8960, 3442, 0, 8960, 43, 49, 8957, 669}},
+    {"31.4126", "4013e4a1ad4a7951",
+     {164, 73, 624, 6144, 2290, 0, 6144, 33, 37, 6000, 576}},
     // seed 8
-    {"16.3194", "40101d3328a3492b",
-     {15, 14, 528, 5120, 1573, 0, 5120, 30, 31, 5117, 496}},
+    {"17.7197", "401096d1bb359e78",
+     {141, 54, 480, 3072, 991, 0, 3072, 22, 22, 2940, 408}},
     // seed 9
-    {"0", "fff0000000000000", {21, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
+    {"0", "fff0000000000000", {39, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
     // seed 10
-    {"281.952", "40204752ed42840a",
-     {36, 32, 1440, 10496, 4610, 0, 10496, 68, 71, 10494, 1384}},
+    {"279.426", "402040ad150e837d",
+     {247, 147, 1392, 9472, 3996, 0, 9472, 63, 66, 9284, 1256}},
     // seed 11
-    {"16.7678", "4010453eea14f0b8",
-     {10, 8, 336, 3072, 1131, 0, 3072, 19, 19, 3071, 289}},
+    {"16.3932", "401023dd2cfc1dba",
+     {92, 35, 336, 2560, 944, 0, 2560, 17, 17, 2464, 288}},
     // seed 12
-    {"31.9034", "4013fb8893ff15e7",
-     {30, 24, 1008, 4096, 2630, 0, 4096, 30, 37, 4093, 807}},
+    {"31.8246", "4013f7e165d1d905",
+     {156, 69, 960, 3584, 2256, 0, 3584, 28, 34, 3373, 702}},
     // seed 13
-    {"0", "fff0000000000000", {42, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
+    {"0", "fff0000000000000", {10, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
     // seed 14
-    {"67.9369", "401858309383909f",
-     {28, 23, 1008, 6912, 2886, 0, 6912, 43, 48, 6910, 930}},
+    {"68.9567", "40186e3382322f20",
+     {205, 103, 1008, 5888, 2469, 0, 5888, 40, 44, 5698, 927}},
     // seed 15
-    {"1.12767", "3fc62ff7ac53c30f",
-     {14, 13, 528, 2816, 1427, 0, 2816, 11, 22, 2814, 462}},
+    {"1.04736", "3fb116aa8c649090",
+     {60, 29, 528, 2304, 1167, 0, 2304, 9, 20, 2211, 458}},
     // seed 16
-    {"6.05298", "4004c7f9d349ac9e",
-     {49, 23, 960, 2304, 1337, 0, 2304, 14, 29, 2301, 793}},
+    {"7.14766", "4006b3238ee22fe5",
+     {133, 50, 912, 2048, 1279, 0, 2048, 13, 27, 1926, 707}},
     // seed 17
-    {"1.36849", "3fdcf723f1f1f530",
-     {12, 11, 432, 3072, 841, 0, 3072, 9, 21, 3070, 374}},
+    {"0.891269", "bfc541acca2a70f8",
+     {75, 35, 432, 2048, 654, 0, 2048, 7, 17, 1952, 373}},
     // seed 18
-    {"1", "0000000000000000", {54, 9, 384, 0, 0, 0, 0, 0, 8, 0, 0}},
+    {"1", "0000000000000000", {67, 15, 384, 0, 0, 0, 0, 0, 8, 0, 0}},
     // seed 19
-    {"0", "fff0000000000000", {18, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
+    {"0", "fff0000000000000", {5, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
     // seed 20
-    {"8.94531", "400949ff833e157e",
-     {20, 10, 432, 768, 741, 0, 768, 5, 12, 767, 324}},
+    {"9.03125", "4009663f6fac9131",
+     {85, 19, 384, 768, 706, 0, 768, 5, 11, 674, 291}},
     // seed 21
-    {"1.22917", "3fd30d457b0a1a51",
-     {12, 10, 432, 3840, 580, 0, 3840, 9, 24, 3839, 383}},
+    {"0.670461", "bfe274efa6d6dd9d",
+     {123, 59, 432, 3328, 470, 0, 3328, 7, 22, 3232, 377}},
     // seed 22
-    {"0.96875", "bfa77394c9d958d0",
-     {63, 10, 432, 256, 124, 0, 256, 1, 10, 255, 232}},
+    {"1", "0000000000000000", {95, 15, 384, 0, 0, 0, 0, 0, 8, 0, 0}},
     // seed 23
-    {"0.931677", "bfba231fafcb4638",
-     {36, 17, 672, 2816, 1126, 0, 2816, 11, 25, 2813, 641}},
+    {"0.916243", "bfc02743261c5d9c",
+     {137, 33, 624, 1792, 732, 0, 1792, 7, 20, 1620, 539}},
     // seed 24
-    {"3.78076", "3ffeb2e693c42c0a",
-     {42, 16, 624, 1280, 1017, 0, 1280, 6, 18, 1277, 484}},
+    {"4.125", "40005aeb4dd63bf6",
+     {113, 25, 576, 1024, 904, 0, 1024, 5, 16, 845, 431}},
     // seed 25
-    {"1", "0000000000000000", {42, 6, 240, 0, 0, 0, 0, 0, 5, 0, 0}},
+    {"1", "0000000000000000", {50, 9, 240, 0, 0, 0, 0, 0, 5, 0, 0}},
 };
 
 // seed 0xfeed, 5 reps
 const PinnedRun kMedianOfRRun =
-    {"65.1435", "40181a29b53ef648",
-     {95, 23, 5520, 7680, 5135, 0, 7680, 35, 145, 15859, 1519}};
+    {"63.2711", "4017ef142962f49f",
+     {95, 23, 5040, 7680, 5107, 0, 7680, 35, 135, 15697, 1687}};
 
 TEST(HotpathEquivalenceTest, CountNftaCachedMatchesLegacy) {
   Rng rng(0x9e1);
@@ -554,80 +553,73 @@ EstimatorConfig NoBackwardPruningConfig(uint64_t seed) {
 
 const PinnedRun kNfaNoPruningRuns[] = {
     // seed 1
-    {"148.986", "401ce048e88b8d4f",
-     {16, 16, 672, 7424, 1492, 0, 7424, 35, 43, 7422, 578}},
+    {"136.401", "401c5de9372800fd",
+     {173, 154, 1008, 7424, 1911, 0, 7424, 45, 50, 7328, 576}},
     // seed 2
-    {"7.2515", "4006ddc1ee040038",
-     {35, 31, 1296, 3328, 2277, 0, 3328, 18, 40, 3324, 812}},
+    {"6.71613", "4005fb2502d4b857",
+     {122, 101, 1488, 3584, 2614, 0, 3584, 23, 45, 3366, 672}},
     // seed 3
-    {"0", "fff0000000000000",
-     {18, 12, 480, 2560, 736, 0, 2560, 10, 20, 2558, 383}},
+    {"0", "fff0000000000000", {5, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
     // seed 4
-    {"1", "0000000000000000",
-     {48, 10, 336, 0, 0, 0, 0, 0, 7, 0, 0}},
+    {"1", "0000000000000000", {60, 28, 672, 0, 0, 0, 0, 0, 14, 0, 0}},
     // seed 5
-    {"149.931", "401ce9a1d1f976fe",
-     {45, 41, 1872, 3840, 2738, 0, 3840, 42, 54, 3838, 1373}},
+    {"132.675", "401c34fd465b5953",
+     {174, 156, 2256, 5376, 3842, 0, 5376, 54, 68, 5192, 1388}},
     // seed 6
-    {"2", "3ff0000000000000",
-     {28, 20, 864, 256, 256, 0, 256, 1, 19, 254, 302}},
+    {"2", "3ff0000000000000", {79, 54, 1152, 0, 0, 0, 0, 6, 24, 0, 0}},
     // seed 7
-    {"33.803", "401450f9b3f37e09",
-     {18, 18, 720, 9472, 3724, 0, 9472, 46, 52, 9469, 669}},
+    {"35.9074", "4014aa32d11b3ee7",
+     {164, 140, 960, 9216, 3594, 0, 9216, 52, 56, 9072, 576}},
     // seed 8
-    {"16.3125", "40101c93f392398d",
-     {15, 15, 576, 5632, 1793, 0, 5632, 33, 34, 5629, 494}},
+    {"17.5787", "40108b03231572a8",
+     {141, 116, 768, 5632, 1808, 0, 5632, 37, 38, 5488, 429}},
     // seed 9
-    {"0", "fff0000000000000",
-     {21, 9, 336, 512, 277, 0, 512, 2, 9, 510, 91}},
+    {"0", "fff0000000000000", {39, 2, 96, 0, 0, 0, 0, 0, 2, 0, 0}},
     // seed 10
-    {"313.324", "40209540bf4151d1",
-     {36, 34, 1536, 11520, 5004, 0, 11520, 74, 77, 11518, 1408}},
+    {"224.061", "401f3b22d4cad770",
+     {247, 224, 1920, 12544, 5144, 0, 12544, 85, 89, 12352, 1339}},
     // seed 11
-    {"16.7678", "4010453eea14f0b8",
-     {10, 9, 384, 3584, 1298, 0, 3584, 22, 22, 3583, 289}},
+    {"14.9676", "400f3aebcdb5373c",
+     {92, 76, 576, 4608, 1776, 0, 4608, 30, 30, 4512, 288}},
     // seed 12
-    {"30.6807", "4013c1cd9544b491",
-     {30, 28, 1200, 5632, 3428, 0, 5632, 40, 47, 5629, 948}},
+    {"29.1329", "401375533005ba81",
+     {156, 135, 1440, 6144, 3588, 0, 6144, 47, 54, 5932, 833}},
 };
 
 const PinnedRun kNftaNoPruningRuns[] = {
     // seed 1
-    {"0", "fff0000000000000",
-     {70, 28, 1344, 512, 512, 0, 512, 3, 30, 1011, 173}},
+    {"0", "fff0000000000000", {70, 28, 960, 512, 512, 0, 512, 3, 22, 983, 198}},
     // seed 2
-    {"18", "4010ae00d1cfdeb4",
-     {104, 65, 3120, 0, 0, 0, 0, 10, 65, 0, 0}},
+    {"18", "4010ae00d1cfdeb4", {104, 65, 1968, 0, 0, 0, 0, 10, 41, 0, 0}},
     // seed 3
-    {"0", "fff0000000000000",
-     {58, 22, 1056, 0, 0, 0, 0, 0, 22, 0, 0}},
+    {"0", "fff0000000000000", {58, 22, 768, 0, 0, 0, 0, 0, 16, 0, 0}},
     // seed 4
     {"0", "fff0000000000000",
-     {127, 59, 2832, 1280, 1002, 0, 1280, 10, 64, 2469, 374}},
+     {127, 59, 2064, 1280, 1019, 0, 1280, 10, 48, 2601, 427}},
     // seed 5
     {"0", "fff0000000000000",
-     {129, 31, 1488, 256, 256, 0, 256, 3, 32, 650, 118}},
+     {129, 31, 1248, 256, 256, 0, 256, 3, 27, 647, 121}},
     // seed 6
     {"44", "4015d6753e032ea1",
-     {196, 132, 6336, 1792, 1792, 0, 1792, 54, 139, 3603, 477}},
+     {196, 132, 3840, 1792, 1792, 0, 1792, 54, 87, 3756, 534}},
     // seed 7
     {"0", "fff0000000000000",
-     {211, 119, 5712, 2560, 1831, 0, 2560, 37, 129, 5629, 484}},
+     {211, 119, 3456, 2560, 1823, 0, 2560, 37, 82, 5638, 501}},
     // seed 8
     {"11", "400bacea7c065d42",
-     {135, 110, 5280, 3840, 3840, 0, 3840, 36, 125, 5828, 778}},
+     {135, 110, 2736, 3840, 3840, 0, 3840, 36, 72, 5872, 895}},
     // seed 9
-    {"7.94531", "4007ebbba0834370",
-     {114, 70, 3360, 768, 547, 0, 768, 17, 73, 2267, 241}},
+    {"7.66406", "4007813f7661794b",
+     {114, 70, 2256, 768, 546, 0, 768, 17, 50, 2274, 254}},
     // seed 10
     {"4", "4000000000000000",
-     {189, 96, 4608, 1024, 1024, 0, 1024, 11, 100, 1780, 304}},
+     {189, 96, 2688, 1024, 1024, 0, 1024, 11, 60, 1797, 343}},
     // seed 11
-    {"31.0234", "4013d236a9935522",
-     {259, 191, 9168, 4096, 3429, 0, 4096, 83, 207, 7859, 855}},
+    {"31.1875", "4013da0169117d84",
+     {259, 191, 5040, 4096, 3457, 0, 4096, 83, 121, 7929, 901}},
     // seed 12
     {"4", "4000000000000000",
-     {170, 131, 6288, 1024, 1024, 0, 1024, 43, 135, 1978, 458}},
+     {170, 131, 3360, 1024, 1024, 0, 1024, 43, 74, 2001, 516}},
 };
 
 TEST(HotpathEquivalenceTest, CountNfaWithoutBackwardPruning) {

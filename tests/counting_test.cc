@@ -152,6 +152,35 @@ TEST(CountNfaTest, EmptyLanguageGivesZero) {
   EXPECT_TRUE(est->value.IsZero());
 }
 
+TEST(CountNfaTest, LengthZeroIsExact) {
+  // L_0 is {λ} when an initial state accepts: exactly 1, never an estimate.
+  Nfa nfa;
+  for (int i = 0; i < 3; ++i) {
+    nfa.MarkInitial(nfa.AddState());
+    nfa.MarkAccepting(static_cast<StateId>(i));
+  }
+  nfa.AddTransition(0, 0, 1);
+  nfa.AddTransition(1, 0, 2);
+  nfa.AddTransition(2, 1, 0);
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    EstimatorConfig cfg = TestConfig(0.3, seed);
+    cfg.pool_size = 48;
+    auto est = CountNfaStrings(nfa, 0, cfg);
+    ASSERT_TRUE(est.ok()) << est.status().ToString();
+    EXPECT_EQ(est->value.ToString(), ExtFloat::FromUint64(1).ToString())
+        << "seed " << seed;
+    EXPECT_EQ(est->value.Log2(), 0.0) << "seed " << seed;
+  }
+  // No initial state accepts: L_0 is empty.
+  Nfa none;
+  none.MarkInitial(none.AddState());
+  none.MarkAccepting(none.AddState());
+  none.AddTransition(0, 0, 1);
+  auto est = CountNfaStrings(none, 0, TestConfig(0.3, 1));
+  ASSERT_TRUE(est.ok());
+  EXPECT_TRUE(est->value.IsZero());
+}
+
 TEST(CountNfaTest, RejectsBadEpsilon) {
   Nfa nfa;
   nfa.AddState();

@@ -197,12 +197,12 @@ struct PinnedSampleRow {
 constexpr size_t kPinnedSamples = 24;
 
 constexpr PinnedSampleRow kPinnedSampleRows[] = {
-    {"ur_path3", 7, "4022282381de945f", 24, 0x339a1d67f4a4c5a4ull},
-    {"ur_path3", 11, "40222d3a938000bc", 24, 0x155da6be76fceca4ull},
-    {"ur_path3", 0x5eed, "402230858e83e672", 24, 0xf1449efb5bf0a4a4ull},
-    {"pqe_h0", 3, "401568902809817d", 24, 0xdf688c44f39ed065ull},
-    {"pqe_h0", 11, "401592e6859031ff", 24, 0x792839ff642f5165ull},
-    {"pqe_h0", 0x5eed, "40159581b75c5249", 24, 0x69611115086fae24ull},
+    {"ur_path3", 7, "4022668b6fed2478", 24, 0xa64fec683ee6f8a5ull},
+    {"ur_path3", 11, "402226fe91fd1b31", 24, 0xb0506a9e098b18e5ull},
+    {"ur_path3", 0x5eed, "402230d71b5f3ef3", 24, 0xe7d5c0bedca5b5a4ull},
+    {"pqe_h0", 3, "40158c5d5e1e1afd", 24, 0x6a808ac298416ce4ull},
+    {"pqe_h0", 11, "40159e97abd8f949", 24, 0x01b13f189872ede4ull},
+    {"pqe_h0", 0x5eed, "40159e97abd8f949", 24, 0x278d4f1b966864a4ull},
 };
 
 TEST(SamplingPinTest, EstimatesAndSampledTreesMatchTheTable) {
