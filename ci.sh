@@ -45,6 +45,13 @@ tier1() {
     echo "tier-1: count_nfa.cc must not include counting/union_estimator.h"
     exit 1
   fi
+  # PqeService serves through PqeEngine's request envelope and kAuto policy:
+  # a second method choice or deadline envelope must not grow back there.
+  if grep -nE 'IsSafeQuery|enumeration_threshold|CancelToken' \
+      src/serve/service.cc; then
+    echo "tier-1: service.cc must not resolve methods or deadlines itself"
+    exit 1
+  fi
   # Warnings are errors here: the default build is warning-free, and this
   # keeps it so.
   run_config "tier-1" build -DPQE_WERROR=ON

@@ -156,118 +156,123 @@ EstimatorConfig PqeEngine::MakeEstimatorConfig(const Options& options,
   return cfg;
 }
 
-EvalResponse PqeEngine::EvaluateRequest(const EvalRequest& request) const {
-  const auto start = std::chrono::steady_clock::now();
-  EvalResponse resp;
-  resp.request_id = request.request_id;
+namespace {
 
-  // Per-request overrides over the engine's options.
-  Options opts = options_;
-  if (request.method.has_value()) opts.method = *request.method;
-  if (request.epsilon.has_value()) opts.epsilon = *request.epsilon;
-  if (request.seed.has_value()) opts.seed = *request.seed;
-  if (request.collect_trace.has_value()) {
-    opts.collect_trace = *request.collect_trace;
-  }
-
-  // The deadline token chains any external token, so the request aborts when
-  // either expires; with no deadline the external token (if any) is polled
-  // directly.
-  std::optional<CancelToken> deadline;
-  const CancelToken* cancel = request.cancel;
-  if (request.deadline_ms > 0) {
-    deadline.emplace(std::chrono::milliseconds(request.deadline_ms),
-                     request.cancel);
-    cancel = &*deadline;
-  }
-
-  auto FinishWith = [&](Result<PqeAnswer> result) {
-    if (result.ok()) {
-      resp.answer = std::move(*result);
-      resp.status = Status::OK();
-    } else {
-      resp.status = result.status();
-    }
-    resp.deadline_exceeded =
-        resp.status.code() == StatusCode::kDeadlineExceeded;
-    if (resp.deadline_exceeded) {
-      obs::MetricRegistry::Global()
-          .GetCounter("pqe.engine.deadline_exceeded")
-          .Increment();
-    }
-    if (cancel != nullptr) resp.progress = cancel->progress();
-    resp.elapsed_ms =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - start)
-            .count();
-    return resp;
-  };
-
-  if (cancel != nullptr && cancel->Expired()) {
-    return FinishWith(Status::DeadlineExceeded(
-        "request expired before evaluation started"));
-  }
-
-  switch (request.target) {
-    case EvalRequest::Target::kQuery:
-      if (request.query == nullptr || request.pdb == nullptr) {
-        return FinishWith(Status::InvalidArgument(
-            "EvalRequest(kQuery) requires query and pdb"));
-      }
-      return FinishWith(EvaluateQueryImpl(*request.query, *request.pdb, opts,
-                                          cancel, request.request_id));
-    case EvalRequest::Target::kUnion:
-      if (request.union_query == nullptr || request.pdb == nullptr) {
-        return FinishWith(Status::InvalidArgument(
-            "EvalRequest(kUnion) requires union_query and pdb"));
-      }
-      return FinishWith(EvaluateUnionImpl(*request.union_query, *request.pdb,
-                                          opts, cancel, request.request_id));
-    case EvalRequest::Target::kUniformReliability:
-      if (request.query == nullptr || request.db == nullptr) {
-        return FinishWith(Status::InvalidArgument(
-            "EvalRequest(kUniformReliability) requires query and db"));
-      }
-      return FinishWith(
-          EvaluateUrImpl(*request.query, *request.db, opts, cancel));
-    case EvalRequest::Target::kRpq:
-      if (request.rpq == nullptr || request.pdb == nullptr) {
-        return FinishWith(Status::InvalidArgument(
-            "EvalRequest(kRpq) requires rpq and pdb"));
-      }
-      return FinishWith(EvaluateRpqImpl(*request.rpq, *request.pdb, opts,
-                                        cancel, request.request_id));
-  }
-  return FinishWith(Status::Internal("unknown EvalRequest target"));
+// The Karp–Luby lineage estimator's config for these options.
+KarpLubyConfig MakeKarpLubyConfig(const PqeEngine::Options& options,
+                                  const CancelToken* cancel) {
+  KarpLubyConfig cfg;
+  cfg.epsilon = options.epsilon;
+  cfg.seed = options.seed;
+  cfg.num_threads = options.num_threads;
+  cfg.cancel = cancel;
+  return cfg;
 }
 
-Result<PqeAnswer> PqeEngine::EvaluateQueryImpl(
-    const ConjunctiveQuery& query, const ProbabilisticDatabase& pdb,
-    const Options& opts, const CancelToken* cancel,
-    uint64_t request_id) const {
-  PqeMethod method = opts.method;
-  if (method == PqeMethod::kAuto) {
-    if (IsSafeQuery(query)) {
-      method = PqeMethod::kSafePlan;
-    } else if (pdb.NumFacts() <= opts.enumeration_threshold) {
-      method = PqeMethod::kEnumeration;
-    } else {
-      method = PqeMethod::kFpras;
-    }
+// The method a kQuery or kRpq request runs. kAuto resolves to the
+// Dalvi–Suciu safe plan when the CQ is hierarchical (RPQs have no safe-plan
+// tier), then exact enumeration at or below enumeration_threshold facts,
+// then the combined FPRAS.
+PqeMethod ResolveMethod(const EvalRequest& request,
+                        const PqeEngine::Options& opts) {
+  if (opts.method != PqeMethod::kAuto) return opts.method;
+  if (request.target == EvalRequest::Target::kQuery &&
+      IsSafeQuery(*request.query)) {
+    return PqeMethod::kSafePlan;
   }
-  std::optional<obs::TraceSession> session;
-  if (opts.collect_trace) {
-    session.emplace("engine.evaluate");
-    obs::SpanAttrUint("request_id", request_id);
-    obs::SpanAttrText("method", PqeMethodToString(method));
-    obs::SpanAttrUint("facts", pdb.NumFacts());
-    obs::SpanAttrFloat("epsilon", opts.epsilon);
+  if (request.pdb->NumFacts() <= opts.enumeration_threshold) {
+    return PqeMethod::kEnumeration;
   }
-  CountMethodEvaluation(method);
+  return PqeMethod::kFpras;
+}
 
+// The cold kFpras step: the whole compile → bind → count chain per request.
+// Self-join-free path queries and RPQs stay in string automata end to end
+// (Section 3 + string-side multiplier gadgets); every other CQ takes the
+// generic tree pipeline.
+Result<PqeAnswer> ColdFpras(const EvalRequest& request,
+                            const PqeEngine::Options& opts,
+                            const EstimatorConfig& config) {
   PqeAnswer out;
-  out.method_used = method;
-  switch (method) {
+  out.method_used = PqeMethod::kFpras;
+  const bool is_rpq = request.target == EvalRequest::Target::kRpq;
+  if (is_rpq || TakesStringRoute(*request.query)) {
+    PQE_ASSIGN_OR_RETURN(
+        PathPqeResult r,
+        is_rpq ? rpq::RpqEstimate(*request.rpq, *request.pdb, config)
+               : PathPqeEstimate(*request.query, *request.pdb, config));
+    out.probability = r.probability;
+    out.count_stats = r.stats;
+    out.automaton = PqeAnswer::AutomatonStats{
+        r.nfa_states, r.nfa_transitions, r.word_length,
+        /*decomposition_width=*/0};
+    return out;
+  }
+  UrConstructionOptions ur_opts;
+  ur_opts.max_width = opts.max_width;
+  PQE_ASSIGN_OR_RETURN(
+      PqeEstimateResult r,
+      PqeEstimate(*request.query, *request.pdb, config, ur_opts));
+  out.probability = r.probability;
+  out.count_stats = r.stats;
+  out.automaton = PqeAnswer::AutomatonStats{
+      r.nfta_states, r.nfta_transitions, r.tree_size, r.decomposition_width};
+  return out;
+}
+
+Status CheckRequest(const EvalRequest& request) {
+  const auto require = [](bool present, const char* message) {
+    return present ? Status::OK() : Status::InvalidArgument(message);
+  };
+  switch (request.target) {
+    case EvalRequest::Target::kQuery:
+      return require(request.query != nullptr && request.pdb != nullptr,
+                     "EvalRequest(kQuery) requires query and pdb");
+    case EvalRequest::Target::kUnion:
+      return require(request.union_query != nullptr && request.pdb != nullptr,
+                     "EvalRequest(kUnion) requires union_query and pdb");
+    case EvalRequest::Target::kUniformReliability:
+      return require(
+          request.query != nullptr && request.db != nullptr,
+          "EvalRequest(kUniformReliability) requires query and db");
+    case EvalRequest::Target::kRpq:
+      return require(request.rpq != nullptr && request.pdb != nullptr,
+                     "EvalRequest(kRpq) requires rpq and pdb");
+  }
+  return Status::Internal("unknown EvalRequest target");
+}
+
+// Opens the request's root span: one root per target, carrying the request
+// id, the target's shape and ε. The envelope adds `method` and
+// `probability` once the answer is in.
+void OpenRootSpan(const EvalRequest& request, const PqeEngine::Options& opts,
+                  std::optional<obs::TraceSession>* session) {
+  using Target = EvalRequest::Target;
+  session->emplace(request.target == Target::kUnion ? "engine.evaluate_union"
+                   : request.target == Target::kRpq ? "engine.evaluate_rpq"
+                                                    : "engine.evaluate");
+  obs::SpanAttrUint("request_id", request.request_id);
+  if (request.target == Target::kRpq) {
+    obs::SpanAttrText("regex", request.rpq->Canonical());
+  }
+  if (request.target == Target::kUnion) {
+    obs::SpanAttrUint("disjuncts", request.union_query->NumDisjuncts());
+  }
+  obs::SpanAttrUint("facts", request.target == Target::kUniformReliability
+                                 ? request.db->NumFacts()
+                                 : request.pdb->NumFacts());
+  obs::SpanAttrFloat("epsilon", opts.epsilon);
+}
+
+Result<PqeAnswer> EvaluateQuery(const EvalRequest& request,
+                                const PqeEngine::Options& opts,
+                                const CancelToken* cancel,
+                                const PqeEngine::FprasLeaf& fpras) {
+  const ConjunctiveQuery& query = *request.query;
+  const ProbabilisticDatabase& pdb = *request.pdb;
+  PqeAnswer out;
+  out.method_used = ResolveMethod(request, opts);
+  switch (out.method_used) {
     case PqeMethod::kSafePlan: {
       PQE_ASSIGN_OR_RETURN(out.probability, SafePlanProbability(query, pdb));
       out.is_exact = true;
@@ -284,40 +289,13 @@ Result<PqeAnswer> PqeEngine::EvaluateQueryImpl(
       out.enumerated_facts = pdb.NumFacts();
       break;
     }
-    case PqeMethod::kFpras: {
-      if (query.IsPathQuery() && query.IsSelfJoinFree()) {
-        // Path queries stay in string automata end to end (Section 3 +
-        // string-side multiplier gadgets) — same guarantee, cheaper.
-        PQE_ASSIGN_OR_RETURN(
-            PathPqeResult r,
-            PathPqeEstimate(query, pdb, MakeEstimatorConfig(opts, cancel)));
-        out.probability = r.probability;
-        out.count_stats = r.stats;
-        out.automaton = PqeAnswer::AutomatonStats{
-            r.nfa_states, r.nfa_transitions, r.word_length,
-            /*decomposition_width=*/0};
-        break;
-      }
-      UrConstructionOptions ur_opts;
-      ur_opts.max_width = opts.max_width;
-      PQE_ASSIGN_OR_RETURN(
-          PqeEstimateResult r,
-          PqeEstimate(query, pdb, MakeEstimatorConfig(opts, cancel),
-                      ur_opts));
-      out.probability = r.probability;
-      out.count_stats = r.stats;
-      out.automaton = PqeAnswer::AutomatonStats{
-          r.nfta_states, r.nfta_transitions, r.tree_size,
-          r.decomposition_width};
-      break;
-    }
+    case PqeMethod::kFpras:
+      return fpras(request, opts,
+                   PqeEngine::MakeEstimatorConfig(opts, cancel));
     case PqeMethod::kKarpLubyLineage: {
-      KarpLubyConfig cfg;
-      cfg.epsilon = opts.epsilon;
-      cfg.seed = opts.seed;
-      cfg.num_threads = opts.num_threads;
-      cfg.cancel = cancel;
-      PQE_ASSIGN_OR_RETURN(KarpLubyResult r, KarpLubyPqe(query, pdb, cfg));
+      PQE_ASSIGN_OR_RETURN(
+          KarpLubyResult r,
+          KarpLubyPqe(query, pdb, MakeKarpLubyConfig(opts, cancel)));
       out.probability = r.probability;
       out.karp_luby = r;
       break;
@@ -348,33 +326,13 @@ Result<PqeAnswer> PqeEngine::EvaluateQueryImpl(
     case PqeMethod::kAuto:
       return Status::Internal("auto method not resolved");
   }
-  if (session.has_value()) {
-    obs::SpanAttrFloat("probability", out.probability);
-    out.trace = std::make_shared<const obs::RunTrace>(session->Finish());
-  }
   return out;
 }
 
-Result<PqeAnswer> PqeEngine::EvaluateUnionImpl(
-    const UnionQuery& query, const ProbabilisticDatabase& pdb,
-    const Options& opts, const CancelToken* cancel,
-    uint64_t request_id) const {
-  std::optional<obs::TraceSession> session;
-  if (opts.collect_trace) {
-    session.emplace("engine.evaluate_union");
-    obs::SpanAttrUint("request_id", request_id);
-    obs::SpanAttrUint("facts", pdb.NumFacts());
-    obs::SpanAttrUint("disjuncts", query.NumDisjuncts());
-  }
-  auto Finish = [&](PqeAnswer* answer) {
-    CountMethodEvaluation(answer->method_used);
-    if (session.has_value()) {
-      obs::SpanAttrText("method", PqeMethodToString(answer->method_used));
-      obs::SpanAttrFloat("probability", answer->probability);
-      answer->trace =
-          std::make_shared<const obs::RunTrace>(session->Finish());
-    }
-  };
+Result<PqeAnswer> EvaluateUnion(const UnionQuery& query,
+                                const ProbabilisticDatabase& pdb,
+                                const PqeEngine::Options& opts,
+                                const CancelToken* cancel) {
   PqeAnswer out;
   if (pdb.NumFacts() <= opts.enumeration_threshold) {
     PQE_TRACE_SPAN("exact.enumeration");
@@ -386,7 +344,6 @@ Result<PqeAnswer> PqeEngine::EvaluateUnionImpl(
     out.is_exact = true;
     out.method_used = PqeMethod::kEnumeration;
     out.enumerated_facts = pdb.NumFacts();
-    Finish(&out);
     return out;
   }
   // Union lineage: exact where tractable, Karp–Luby beyond.
@@ -402,61 +359,32 @@ Result<PqeAnswer> PqeEngine::EvaluateUnionImpl(
       out.lineage = PqeAnswer::LineageStats{lineage->NumClauses(),
                                             exact->stats.shannon_splits,
                                             exact->stats.component_splits};
-      Finish(&out);
       return out;
     }
   }
-  KarpLubyConfig cfg;
-  cfg.epsilon = opts.epsilon;
-  cfg.seed = opts.seed;
-  cfg.num_threads = opts.num_threads;
-  cfg.cancel = cancel;
-  PQE_ASSIGN_OR_RETURN(KarpLubyResult r, KarpLubyUnionPqe(query, pdb, cfg));
+  PQE_ASSIGN_OR_RETURN(
+      KarpLubyResult r,
+      KarpLubyUnionPqe(query, pdb, MakeKarpLubyConfig(opts, cancel)));
   out.probability = r.probability;
   out.karp_luby = r;
   out.method_used = PqeMethod::kKarpLubyLineage;
-  Finish(&out);
   return out;
 }
 
-Result<PqeAnswer> PqeEngine::EvaluateRpqImpl(
-    const rpq::RpqQuery& query, const ProbabilisticDatabase& pdb,
-    const Options& opts, const CancelToken* cancel,
-    uint64_t request_id) const {
-  PqeMethod method = opts.method;
-  const bool was_auto = method == PqeMethod::kAuto;
-  if (was_auto) {
-    method = pdb.NumFacts() <= opts.enumeration_threshold
-                 ? PqeMethod::kEnumeration
-                 : PqeMethod::kFpras;
-  }
+Result<PqeAnswer> EvaluateRpq(const EvalRequest& request,
+                              const PqeEngine::Options& opts,
+                              const CancelToken* cancel,
+                              const PqeEngine::FprasLeaf& fpras) {
+  const rpq::RpqQuery& query = *request.rpq;
+  const ProbabilisticDatabase& pdb = *request.pdb;
+  const PqeMethod method = ResolveMethod(request, opts);
   if (method == PqeMethod::kSafePlan || method == PqeMethod::kMonteCarlo) {
     return Status::NotSupported(
         std::string("regular path queries do not support method '") +
         PqeMethodToString(method) + "'");
   }
 
-  std::optional<obs::TraceSession> session;
-  if (opts.collect_trace) {
-    session.emplace("engine.evaluate_rpq");
-    obs::SpanAttrUint("request_id", request_id);
-    obs::SpanAttrText("regex", query.Canonical());
-    obs::SpanAttrUint("facts", pdb.NumFacts());
-    obs::SpanAttrFloat("epsilon", opts.epsilon);
-  }
-  // The FPRAS route can cascade into lineage (below), so the method counter
-  // runs at the end, against the method that actually produced the answer.
   PqeAnswer out;
-  auto Finish = [&](PqeAnswer* answer) {
-    CountMethodEvaluation(answer->method_used);
-    if (session.has_value()) {
-      obs::SpanAttrText("method", PqeMethodToString(answer->method_used));
-      obs::SpanAttrFloat("probability", answer->probability);
-      answer->trace =
-          std::make_shared<const obs::RunTrace>(session->Finish());
-    }
-  };
-
   if (method == PqeMethod::kEnumeration) {
     PQE_TRACE_SPAN("exact.enumeration");
     PQE_ASSIGN_OR_RETURN(
@@ -467,24 +395,15 @@ Result<PqeAnswer> PqeEngine::EvaluateRpqImpl(
     out.is_exact = true;
     out.method_used = PqeMethod::kEnumeration;
     out.enumerated_facts = pdb.NumFacts();
-    Finish(&out);
     return out;
   }
 
   if (method == PqeMethod::kFpras) {
-    auto r = rpq::RpqEstimate(query, pdb, MakeEstimatorConfig(opts, cancel));
-    if (r.ok()) {
-      out.probability = r->probability;
-      out.method_used = PqeMethod::kFpras;
-      out.count_stats = r->stats;
-      out.automaton = PqeAnswer::AutomatonStats{
-          r->nfa_states, r->nfa_transitions, r->word_length,
-          /*decomposition_width=*/0};
-      Finish(&out);
-      return out;
-    }
-    if (!was_auto || r.status().code() != StatusCode::kNotSupported) {
-      return r.status();
+    Result<PqeAnswer> r =
+        fpras(request, opts, PqeEngine::MakeEstimatorConfig(opts, cancel));
+    if (r.ok() || opts.method != PqeMethod::kAuto ||
+        r.status().code() != StatusCode::kNotSupported) {
+      return r;
     }
     // Not scan-orderable (cyclic data under the regex): fall through to the
     // exact product-path lineage, mirroring the union cascade.
@@ -499,7 +418,6 @@ Result<PqeAnswer> PqeEngine::EvaluateRpqImpl(
     out.is_exact = true;
     out.method_used = PqeMethod::kExactLineage;
     out.lineage = PqeAnswer::LineageStats{1, 0, 0};
-    Finish(&out);
     return out;
   }
   if (method == PqeMethod::kExactLineage || method == PqeMethod::kFpras) {
@@ -518,7 +436,6 @@ Result<PqeAnswer> PqeEngine::EvaluateRpqImpl(
         out.lineage = PqeAnswer::LineageStats{lineage->NumClauses(),
                                               exact->stats.shannon_splits,
                                               exact->stats.component_splits};
-        Finish(&out);
         return out;
       }
       if (method == PqeMethod::kExactLineage) return exact.status();
@@ -535,27 +452,21 @@ Result<PqeAnswer> PqeEngine::EvaluateRpqImpl(
     out.is_exact = true;
     out.method_used = PqeMethod::kExactLineage;
     out.lineage = PqeAnswer::LineageStats{0, 0, 0};
-    Finish(&out);
     return out;
   }
-  KarpLubyConfig cfg;
-  cfg.epsilon = opts.epsilon;
-  cfg.seed = opts.seed;
-  cfg.num_threads = opts.num_threads;
-  cfg.cancel = cancel;
-  PQE_ASSIGN_OR_RETURN(KarpLubyResult r,
-                       KarpLubyEstimate(lineage, pdb, cfg));
+  PQE_ASSIGN_OR_RETURN(
+      KarpLubyResult r,
+      KarpLubyEstimate(lineage, pdb, MakeKarpLubyConfig(opts, cancel)));
   out.probability = r.probability;
   out.karp_luby = r;
   out.method_used = PqeMethod::kKarpLubyLineage;
-  Finish(&out);
   return out;
 }
 
-Result<PqeAnswer> PqeEngine::EvaluateUrImpl(const ConjunctiveQuery& query,
-                                            const Database& db,
-                                            const Options& opts,
-                                            const CancelToken* cancel) const {
+Result<PqeAnswer> EvaluateUr(const ConjunctiveQuery& query,
+                             const Database& db,
+                             const PqeEngine::Options& opts,
+                             const CancelToken* cancel) {
   PqeAnswer out;
   if (db.NumFacts() <= opts.enumeration_threshold) {
     PQE_ASSIGN_OR_RETURN(
@@ -572,7 +483,8 @@ Result<PqeAnswer> PqeEngine::EvaluateUrImpl(const ConjunctiveQuery& query,
   ur_opts.max_width = opts.max_width;
   PQE_ASSIGN_OR_RETURN(
       UrEstimateResult r,
-      UrEstimate(query, db, MakeEstimatorConfig(opts, cancel), ur_opts));
+      UrEstimate(query, db, PqeEngine::MakeEstimatorConfig(opts, cancel),
+                 ur_opts));
   out.probability = r.ur.ToDouble();
   out.method_used = PqeMethod::kFpras;
   out.count_stats = r.stats;
@@ -580,6 +492,100 @@ Result<PqeAnswer> PqeEngine::EvaluateUrImpl(const ConjunctiveQuery& query,
                                             r.nfta_transitions, r.tree_size,
                                             r.decomposition_width};
   return out;
+}
+
+// Everything between the deadline token and the response: pre-expiry,
+// request validation, the trace root, the target's evaluation and the
+// per-method counter.
+Result<PqeAnswer> Evaluate(const EvalRequest& request,
+                           const PqeEngine::Options& opts,
+                           const CancelToken* cancel,
+                           const PqeEngine::FprasLeaf& fpras) {
+  if (cancel != nullptr && cancel->Expired()) {
+    return Status::DeadlineExceeded(
+        "request expired before evaluation started");
+  }
+  PQE_RETURN_IF_ERROR(CheckRequest(request));
+  std::optional<obs::TraceSession> session;
+  if (opts.collect_trace) OpenRootSpan(request, opts, &session);
+  Result<PqeAnswer> result = [&]() -> Result<PqeAnswer> {
+    switch (request.target) {
+      case EvalRequest::Target::kQuery:
+        return EvaluateQuery(request, opts, cancel, fpras);
+      case EvalRequest::Target::kUnion:
+        return EvaluateUnion(*request.union_query, *request.pdb, opts,
+                             cancel);
+      case EvalRequest::Target::kUniformReliability:
+        return EvaluateUr(*request.query, *request.db, opts, cancel);
+      case EvalRequest::Target::kRpq:
+        return EvaluateRpq(request, opts, cancel, fpras);
+    }
+    return Status::Internal("unknown EvalRequest target");
+  }();
+  if (!result.ok()) return result;
+  CountMethodEvaluation(result->method_used);
+  if (session.has_value()) {
+    obs::SpanAttrText("method", PqeMethodToString(result->method_used));
+    obs::SpanAttrFloat("probability", result->probability);
+    result->trace = std::make_shared<const obs::RunTrace>(session->Finish());
+  }
+  return result;
+}
+
+}  // namespace
+
+PqeEngine::Options PqeEngine::ResolveOptions(
+    const EvalRequest& request) const {
+  Options opts = options_;
+  if (request.method.has_value()) opts.method = *request.method;
+  if (request.epsilon.has_value()) opts.epsilon = *request.epsilon;
+  if (request.seed.has_value()) opts.seed = *request.seed;
+  if (request.collect_trace.has_value()) {
+    opts.collect_trace = *request.collect_trace;
+  }
+  return opts;
+}
+
+EvalResponse PqeEngine::EvaluateRequest(const EvalRequest& request) const {
+  return EvaluateRequest(request, ColdFpras);
+}
+
+EvalResponse PqeEngine::EvaluateRequest(const EvalRequest& request,
+                                        const FprasLeaf& fpras) const {
+  const auto start = std::chrono::steady_clock::now();
+  const Options opts = ResolveOptions(request);
+
+  // The deadline token chains any external token, so the request aborts when
+  // either expires; with no deadline the external token (if any) is polled
+  // directly.
+  std::optional<CancelToken> deadline;
+  const CancelToken* cancel = request.cancel;
+  if (request.deadline_ms > 0) {
+    deadline.emplace(std::chrono::milliseconds(request.deadline_ms),
+                     request.cancel);
+    cancel = &*deadline;
+  }
+
+  Result<PqeAnswer> result = Evaluate(request, opts, cancel, fpras);
+  EvalResponse resp;
+  resp.request_id = request.request_id;
+  if (result.ok()) {
+    resp.answer = std::move(*result);
+  } else {
+    resp.status = result.status();
+  }
+  resp.deadline_exceeded =
+      resp.status.code() == StatusCode::kDeadlineExceeded;
+  if (resp.deadline_exceeded) {
+    obs::MetricRegistry::Global()
+        .GetCounter("pqe.engine.deadline_exceeded")
+        .Increment();
+  }
+  if (cancel != nullptr) resp.progress = cancel->progress();
+  resp.elapsed_ms = std::chrono::duration<double, std::milli>(
+                        std::chrono::steady_clock::now() - start)
+                        .count();
+  return resp;
 }
 
 }  // namespace pqe

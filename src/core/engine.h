@@ -1,6 +1,7 @@
 #ifndef PQE_CORE_ENGINE_H_
 #define PQE_CORE_ENGINE_H_
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -234,11 +235,32 @@ class PqeEngine {
 
   const Options& options() const { return options_; }
 
-  /// The single evaluation entry point: dispatches on request.target,
-  /// applies per-request overrides, enforces deadline_ms/cancel
-  /// cooperatively, and never throws or hangs — errors (including
-  /// kDeadlineExceeded) come back in EvalResponse::status.
+  /// The kFpras step of a kQuery or kRpq request: Pr_H(Q) of request.query
+  /// (or request.rpq) over request.pdb by the combined FPRAS, under the
+  /// request's effective `options` and the `config` built from them
+  /// (MakeEstimatorConfig, carrying the request's cancel token). A
+  /// kNotSupported result on a kAuto kRpq request (no scan order) falls back
+  /// to the engine's lineage cascade.
+  using FprasLeaf = std::function<Result<PqeAnswer>(
+      const EvalRequest& request, const Options& options,
+      const EstimatorConfig& config)>;
+
+  /// The single evaluation entry point and request envelope: applies
+  /// per-request overrides, resolves kAuto, enforces deadline_ms/cancel
+  /// cooperatively, opens the request's trace, counts the evaluation, and
+  /// never throws or hangs — errors (including kDeadlineExceeded) come back
+  /// in EvalResponse::status. The kFpras step runs the cold chain
+  /// (PathPqeEstimate / PqeEstimate / rpq::RpqEstimate).
   EvalResponse EvaluateRequest(const EvalRequest& request) const;
+
+  /// The same envelope with `fpras` as the kFpras step (PqeService serves
+  /// it from its PreparedCache). Every other step is the engine's own.
+  EvalResponse EvaluateRequest(const EvalRequest& request,
+                               const FprasLeaf& fpras) const;
+
+  /// The request's effective options: its per-request overrides (method,
+  /// epsilon, seed, collect_trace) over the engine's.
+  Options ResolveOptions(const EvalRequest& request) const;
 
   /// The EstimatorConfig the engine hands to the counting layers for these
   /// options (shared with src/serve/ so prepared evaluations and engine
@@ -248,27 +270,6 @@ class PqeEngine {
                                              const CancelToken* cancel);
 
  private:
-  // `request_id` is attached to the evaluation's trace session so batch
-  // traces stay attributable per request.
-  Result<PqeAnswer> EvaluateQueryImpl(const ConjunctiveQuery& query,
-                                      const ProbabilisticDatabase& pdb,
-                                      const Options& opts,
-                                      const CancelToken* cancel,
-                                      uint64_t request_id) const;
-  Result<PqeAnswer> EvaluateUnionImpl(const UnionQuery& query,
-                                      const ProbabilisticDatabase& pdb,
-                                      const Options& opts,
-                                      const CancelToken* cancel,
-                                      uint64_t request_id) const;
-  Result<PqeAnswer> EvaluateUrImpl(const ConjunctiveQuery& query,
-                                   const Database& db, const Options& opts,
-                                   const CancelToken* cancel) const;
-  Result<PqeAnswer> EvaluateRpqImpl(const rpq::RpqQuery& query,
-                                    const ProbabilisticDatabase& pdb,
-                                    const Options& opts,
-                                    const CancelToken* cancel,
-                                    uint64_t request_id) const;
-
   Options options_;
 };
 

@@ -229,6 +229,10 @@ Result<BigRational> ExactPathSkeleton(const PathPqeSkeleton& skeleton,
   return BigRational(std::move(count), m.denominator);
 }
 
+bool TakesStringRoute(const ConjunctiveQuery& query) {
+  return query.IsPathQuery() && query.IsSelfJoinFree();
+}
+
 Result<PathPqeResult> PathPqeEstimate(const ConjunctiveQuery& query,
                                       const ProbabilisticDatabase& pdb,
                                       const EstimatorConfig& config) {

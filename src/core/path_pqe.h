@@ -53,6 +53,13 @@ Result<PathEstimateResult> PathEstimate(const ConjunctiveQuery& query,
 Result<BigUint> PathUniformReliabilityExact(const ConjunctiveQuery& query,
                                             const Database& db);
 
+/// The combined FPRAS's route for a conjunctive query: true when `query`
+/// is a self-join-free path query, which takes the string specialization
+/// below; false when it takes the generic tree pipeline (core/pqe.h).
+/// PqeEngine and PreparedQuery::Prepare both route by it, so a prepared
+/// answer is the cold one bit for bit.
+bool TakesStringRoute(const ConjunctiveQuery& query);
+
 /// Theorem 1 specialized to path queries, entirely in *string* automata:
 /// the Section 3 NFA plus string-side multiplier gadgets (the paper's
 /// footnote 2 observes the Section 5.1 gadget is a degenerate path

@@ -33,11 +33,13 @@ void RecordCountRun(const char* prefix, const CountStats& stats,
 }
 
 size_t EstimatorConfig::ResolvePoolSize(size_t n) const {
+  // The auto-sized pool's floor: small strata still get a usable sample.
+  constexpr size_t kMinPoolSize = 48;
   if (pool_size > 0) return pool_size;
   const double eps = std::min(std::max(epsilon, 1e-3), 1.0);
   double m = 8.0 * static_cast<double>(std::max<size_t>(n, 1)) / (eps * eps);
   size_t resolved = static_cast<size_t>(std::ceil(m));
-  resolved = std::max(resolved, min_pool_size);
+  resolved = std::max(resolved, kMinPoolSize);
   if (max_pool_size > 0) resolved = std::min(resolved, max_pool_size);
   return resolved;
 }

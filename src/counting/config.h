@@ -23,19 +23,16 @@ namespace pqe {
 struct EstimatorConfig {
   /// Target relative error ε ∈ (0, 1).
   double epsilon = 0.2;
-  /// Informational confidence level (1 − δ); used by the auto-sizing rule.
+  /// Informational confidence level (1 − δ). No estimator reads it: the
+  /// coverage test takes δ from it, and the answer memo hashes it.
   double confidence = 0.9;
   /// RNG seed; all randomness derives from it (runs are reproducible).
   uint64_t seed = 0x5eed;
-  /// Per-stratum sample pool size. 0 = auto: ~8·n/ε², clamped to
-  /// [min_pool_size, max_pool_size].
+  /// Per-stratum sample pool size. 0 = auto: ~8·n/ε², at least 48 and at
+  /// most max_pool_size.
   size_t pool_size = 0;
-  size_t min_pool_size = 48;
   /// Practical cap on the auto-sized pool (0 = uncapped "theory mode").
   size_t max_pool_size = 768;
-  /// Rejection-sampling attempt budget: attempts <= attempt_factor * pool
-  /// target (+ a small constant).
-  size_t attempt_factor = 24;
   /// Median-of-R amplification: the counter runs `repetitions` independent
   /// estimates (seeds derived from `seed`) and returns the median — the
   /// standard FPRAS confidence boost. 1 = single run.

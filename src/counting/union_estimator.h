@@ -203,7 +203,7 @@ class UnionEstimator {
   // Batched Karp–Luby rejection over the members [begin, end): draw a member
   // ∝ its weight and a uniform sample of the pool it extends, and keep the
   // sample iff `chosen` is canonical for it (one membership check). Runs
-  // until the pool target is hit, the attempt budget (attempt_factor · pool
+  // until the pool target is hit, the attempt budget (kAttemptFactor · pool
   // target + 64) is spent or the run is cancelled; a whole batch counts as
   // attempts even when the target is crossed mid-batch.
   struct Rejection {
@@ -275,7 +275,9 @@ UnionEstimator::Rejection UnionEstimator::Reject(const UnionMember* begin,
   }
   BuildPicker(weights_);
   Rejection r;
-  const size_t max_attempts = config_.attempt_factor * pool_target_ + 64;
+  // Attempts per pool-target sample before a group gives up.
+  constexpr size_t kAttemptFactor = 24;
+  const size_t max_attempts = kAttemptFactor * pool_target_ + 64;
   while (r.hits < pool_target_ && r.attempts < max_attempts) {
     if (Cancelled()) break;
     const size_t batch = std::min(kDrawBatch, max_attempts - r.attempts);

@@ -52,9 +52,7 @@ uint64_t HashEstimatorConfig(const EstimatorConfig& config) {
   mix_double(config.confidence);
   mix(config.seed);
   mix(config.pool_size);
-  mix(config.min_pool_size);
   mix(config.max_pool_size);
-  mix(config.attempt_factor);
   mix(config.repetitions);
   mix(config.disable_backward_pruning ? 1 : 0);
   return h;
@@ -71,12 +69,10 @@ Result<std::shared_ptr<const PreparedQuery>> PreparedQuery::Prepare(
     const UrConstructionOptions& options, size_t bind_cache_capacity) {
   PQE_TRACE_SPAN_VAR(span, "serve.prepare");
   span.AttrUint("facts", db.NumFacts());
-  // Route exactly as PqeEngine's kFpras branch does, so prepared answers
-  // match cold engine answers bit for bit.
   auto prepared = std::shared_ptr<PreparedQuery>(new PreparedQuery());
   prepared->bind_cache_capacity_ =
       bind_cache_capacity < 1 ? 1 : bind_cache_capacity;
-  if (query.IsPathQuery() && query.IsSelfJoinFree()) {
+  if (TakesStringRoute(query)) {
     PQE_ASSIGN_OR_RETURN(PathPqeSkeleton s, BuildPathPqeSkeleton(query, db));
     prepared->path_.emplace(std::move(s));
   } else {

@@ -52,9 +52,10 @@ struct LabelDelta {
 /// target-keyed index is rebuilt. Denominator changes fall back to a full
 /// rebind transparently.
 ///
-/// Route selection mirrors PqeEngine's kFpras branch exactly: self-join-free
-/// path queries stay in string automata (Section 3 + string gadgets),
-/// everything else takes the generic tree pipeline. EvaluateFpras assembles
+/// Route selection is TakesStringRoute (core/path_pqe.h), the predicate
+/// PqeEngine's cold kFpras step routes by: self-join-free path queries stay
+/// in string automata (Section 3 + string gadgets), everything else takes
+/// the generic tree pipeline. EvaluateFpras assembles
 /// the same PqeAnswer the engine's cold path produces, bit for bit — the
 /// skeleton/bind composition is the cold path (see core/pqe.cc), and the
 /// counting layer is seeded identically.
@@ -85,8 +86,8 @@ class PreparedQuery {
   /// result is a PathPqeSkeleton either way, so binds, delta rebinds, the
   /// bind LRU, and the answer memo all work unchanged. Fails like the
   /// engine's kFpras RPQ route would (NotSupported when the instance is not
-  /// scan-orderable — the service falls back to the engine's lineage
-  /// cascade).
+  /// scan-orderable — a kAuto request then falls back to the engine's
+  /// lineage cascade).
   static Result<std::shared_ptr<const PreparedQuery>> PrepareRpq(
       const rpq::RpqQuery& query, const Database& db,
       size_t bind_cache_capacity = 4);

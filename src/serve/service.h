@@ -15,10 +15,13 @@
 namespace pqe {
 namespace serve {
 
-/// The prepared-query serving facade: accepts EvalRequest batches, serves
-/// kFpras-routed conjunctive queries through the PreparedCache (compile
-/// once, rebind per labelling), and delegates every other target/method to
-/// an embedded PqeEngine. Responses never come back as exceptions or hangs:
+/// The prepared-query serving facade: accepts EvalRequest batches and runs
+/// each through PqeEngine::EvaluateRequest, the one request envelope and
+/// kAuto policy. The service supplies only the engine's kFpras step: a
+/// kQuery or kRpq request that resolves to the combined FPRAS is served from
+/// the PreparedCache (compile once, rebind per labelling); every other
+/// target/method is the engine's own, and so are deadlines, traces and the
+/// pqe.engine.* counters. Responses never come back as exceptions or hangs:
 /// per-request deadlines (EvalRequest::deadline_ms) are enforced
 /// cooperatively inside the sampling loops, and an expired request returns
 /// a kDeadlineExceeded status with its partial progress.
@@ -109,26 +112,30 @@ class PqeService {
                                   const LabelDelta& delta) const;
 
  private:
-  /// `inner_threads_override` > 0 pins the request's sampling thread count
-  /// (batch fan-out pins 1; 0 means inherit the engine options).
-  EvalResponse EvaluateOne(const EvalRequest& request, uint64_t effective_id,
-                           size_t inner_threads_override) const;
+  /// Serves one request through `engine`'s envelope, with ServeFpras as its
+  /// kFpras step, and records the request's telemetry and capture.
+  EvalResponse EvaluateOne(const PqeEngine& engine, const EvalRequest& request,
+                           uint64_t effective_id) const;
 
-  /// The prepared fast path; only called for kQuery requests whose method
-  /// resolves to kFpras. Mirrors PqeEngine::EvaluateRequest's envelope
-  /// (deadline token, status mapping, elapsed/progress accounting).
-  /// Fills `telemetry`'s stage timings and cache class as it goes.
-  EvalResponse EvaluatePrepared(const EvalRequest& request,
-                                uint64_t effective_id,
-                                const PqeEngine::Options& opts,
-                                RequestTelemetry* telemetry) const;
+  /// The kFpras step the service hands the engine: looks the request's
+  /// query up in the PreparedCache (compiling it on a miss) and evaluates
+  /// the prepared query, filling `telemetry`'s stage timings and cache
+  /// class as it goes.
+  Result<PqeAnswer> ServeFpras(const EvalRequest& request,
+                               const PqeEngine::Options& opts,
+                               const EstimatorConfig& config,
+                               RequestTelemetry* telemetry) const;
 
-  void CaptureRequest(const EvalRequest& request, uint64_t effective_id,
+  void CaptureRequest(const EvalRequest& request,
                       const PqeEngine::Options& opts,
                       const EvalResponse& resp) const;
 
   Options options_;
+  /// Serves lone requests with the service's engine options.
   PqeEngine engine_;
+  /// Serves the members of a batch that fans out: the same options with one
+  /// sampling thread, since the shared pool is not reentrant.
+  PqeEngine batch_engine_;
   std::unique_ptr<PreparedCache> cache_;
   mutable ServiceTelemetry telemetry_;
   std::unique_ptr<WorkloadRecorder> recorder_;

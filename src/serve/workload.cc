@@ -203,8 +203,10 @@ uint64_t HashLabelling(const ProbabilisticDatabase& pdb) {
 
 uint64_t HashEngineConfig(const PqeEngine::Options& options) {
   // The sampler's draw scheme (alias-table picks over block-generated RNG
-  // words). Bump it whenever a change moves answer bits at fixed options.
-  constexpr uint64_t kSamplerGeneration = 2;
+  // words; generation 3: the forest views and the string counter's unary
+  // encoding onto CountNFTA). Bump it whenever a change moves answer bits
+  // at fixed options.
+  constexpr uint64_t kSamplerGeneration = 3;
   uint64_t h = kFnvOffset;
   Mix(&h, kSamplerGeneration);
   Mix(&h, options.max_width);

@@ -13,6 +13,7 @@
 #include "eval/ucq_eval.h"
 #include "cq/builders.h"
 #include "eval/eval.h"
+#include "obs/trace.h"
 #include "workload/generators.h"
 
 namespace pqe {
@@ -144,6 +145,29 @@ TEST(EngineTest, UniformReliabilityHelper) {
   auto ur = EvalUr(engine, qi.query, db);
   ASSERT_TRUE(ur.ok());
   EXPECT_DOUBLE_EQ(*ur, truth.ToDouble());
+}
+
+TEST(EngineTest, UniformReliabilityRequestCarriesTrace) {
+  // kUniformReliability runs through the same request envelope as every
+  // other target: collect_trace returns a trace whose root names the
+  // request.
+  auto qi = MakePathQuery(2).MoveValue();
+  LayeredGraphOptions opt;
+  opt.width = 2;
+  opt.density = 0.9;
+  opt.seed = 6;
+  auto db = MakeLayeredPathDatabase(qi, opt).MoveValue();
+  PqeEngine engine;
+  EvalRequest r = EvalRequest::ForUniformReliability(qi.query, db);
+  r.request_id = 42;
+  r.collect_trace = true;
+  const EvalResponse resp = engine.EvaluateRequest(r);
+  ASSERT_TRUE(resp.status.ok()) << resp.status.ToString();
+  ASSERT_NE(resp.answer.trace, nullptr);
+  if (!obs::TracingCompiledIn()) return;
+  const obs::TraceAttr* id = resp.answer.trace->root.FindAttr("request_id");
+  ASSERT_NE(id, nullptr);
+  EXPECT_EQ(id->u, 42u);
 }
 
 TEST(EngineTest, EvaluateUnionAgreesWithEnumeration) {

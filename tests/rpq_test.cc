@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "core/engine.h"
+#include "obs/trace.h"
 #include "rpq/automaton.h"
 #include "rpq/eval.h"
 #include "rpq/product.h"
@@ -374,9 +375,19 @@ TEST(RpqServeTest, PreparedAnswersAreBitIdenticalToEngine) {
   EXPECT_EQ(service.cache().stats().hits, reqs.size() - 1);
 }
 
+// Spans named `name` in the subtree under `span` (itself included).
+size_t CountSpans(const obs::TraceSpan& span, const std::string& name) {
+  size_t n = span.name == name ? 1 : 0;
+  for (const obs::TraceSpan& child : span.children) {
+    n += CountSpans(child, name);
+  }
+  return n;
+}
+
 TEST(RpqServeTest, AutoFallsBackToLineageWhenNotScanOrderable) {
   // Cyclic instance + kAuto: the prepared route reports NotSupported and
-  // the service delegates to the engine cascade, which resolves exactly.
+  // the engine's kAuto cascade resolves exactly through lineage, without
+  // compiling the query a second time.
   Schema schema;
   ASSERT_TRUE(schema.AddRelation("a", 2).ok());
   Database db(schema);
@@ -400,12 +411,26 @@ TEST(RpqServeTest, AutoFallsBackToLineageWhenNotScanOrderable) {
   serve::PqeService service(sopt);
   EvalRequest r = EvalRequest::ForRpq(q, pdb);
   r.request_id = 1;
+  r.collect_trace = true;
   const std::vector<EvalResponse> resp = service.EvaluateBatch({r});
   ASSERT_EQ(resp.size(), 1u);
   ASSERT_TRUE(resp[0].status.ok()) << resp[0].status.ToString();
   auto truth = rpq::ExactRpqProbabilityByEnumeration(q, pdb);
   ASSERT_TRUE(truth.ok());
   EXPECT_NEAR(resp[0].answer.probability, truth->ToDouble(), 1e-12);
+  // The lineage answer is not a prepared one: it stays in the delegated
+  // class.
+  const serve::ServiceStats stats = service.StatsSnapshot();
+  EXPECT_EQ(stats.requests, 1u);
+  EXPECT_EQ(
+      stats.by_class[static_cast<size_t>(serve::CacheClass::kDelegated)], 1u);
+
+  ASSERT_NE(resp[0].answer.trace, nullptr);
+  if (!obs::TracingCompiledIn()) return;
+  // One compile attempt (the prepared route's), and no cold FPRAS retry.
+  const obs::TraceSpan& root = resp[0].answer.trace->root;
+  EXPECT_EQ(CountSpans(root, "serve.prepare_rpq"), 1u);
+  EXPECT_EQ(CountSpans(root, "rpq.estimate"), 0u);
 }
 
 }  // namespace

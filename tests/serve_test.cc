@@ -393,6 +393,38 @@ TEST(ServeTest, DeadlineIncrementsStatsCounterAndCarriesProgress) {
   EXPECT_EQ(stats.errors, 0u);
 }
 
+TEST(ServeTest, ServedRequestsCountAsEngineEvaluations) {
+  // A served request is an engine evaluation: the prepared FPRAS route adds
+  // to pqe.engine.evaluations.fpras, and an expired deadline adds to
+  // pqe.engine.deadline_exceeded, as they would on PqeEngine.
+  PathFixture fx = MakePathFixture(100);
+  serve::PqeService::Options sopt;
+  sopt.engine = ServeOptions();
+  sopt.num_threads = 1;
+  serve::PqeService service(sopt);
+  obs::Counter& fpras = obs::MetricRegistry::Global().GetCounter(
+      "pqe.engine.evaluations.fpras");
+  obs::Counter& deadline = obs::MetricRegistry::Global().GetCounter(
+      "pqe.engine.deadline_exceeded");
+
+  EvalRequest r = EvalRequest::ForQuery(fx.qi.query, fx.pdb);
+  r.request_id = 1;
+  const uint64_t fpras_before = fpras.Value();
+  const uint64_t deadline_before = deadline.Value();
+  ASSERT_TRUE(service.Evaluate(r).status.ok());
+  EXPECT_EQ(fpras.Value(), fpras_before + 1);
+  EXPECT_EQ(deadline.Value(), deadline_before);
+
+  CancelToken cancelled;
+  cancelled.Cancel();
+  EvalRequest dead = r;
+  dead.request_id = 2;
+  dead.cancel = &cancelled;
+  EXPECT_TRUE(service.Evaluate(dead).deadline_exceeded);
+  EXPECT_EQ(deadline.Value(), deadline_before + 1);
+  EXPECT_EQ(fpras.Value(), fpras_before + 1);
+}
+
 TEST(ServeTest, RequestHistogramRecordsWholeMicroseconds) {
   // serve.request_us keeps sub-millisecond requests visible: a cold request
   // adds one sample of at least 1 µs, where whole milliseconds read 0.
@@ -474,9 +506,9 @@ TEST(ServeTest, StatsSnapshotClassifiesCacheEffectiveness) {
 }
 
 TEST(ServeTest, BatchTracesCarryRequestId) {
-  // Satellite contract: every per-request trace names its request, so batch
-  // traces stay attributable. Covers both the prepared route
-  // ("serve.request" root) and the delegated route ("engine.evaluate").
+  // Every per-request trace names its request, so batch traces stay
+  // attributable. Covers both the prepared route and the delegated route:
+  // both run under the engine's request envelope ("engine.evaluate").
   if (!obs::TracingCompiledIn()) GTEST_SKIP() << "tracing compiled out";
   PathFixture fx = MakePathFixture(100);
   serve::PqeService::Options sopt;
@@ -503,7 +535,7 @@ TEST(ServeTest, BatchTracesCarryRequestId) {
     ASSERT_NE(attr, nullptr) << "trace root missing request_id";
     EXPECT_EQ(attr->u, 11u + i);
   }
-  EXPECT_EQ(resp[0].answer.trace->root.name, "serve.request");
+  EXPECT_EQ(resp[0].answer.trace->root.name, "engine.evaluate");
   EXPECT_EQ(resp[1].answer.trace->root.name, "engine.evaluate");
 }
 
