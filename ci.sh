@@ -52,6 +52,19 @@ tier1() {
     echo "tier-1: service.cc must not resolve methods or deadlines itself"
     exit 1
   fi
+  # PqeEngine runs one method cascade for every target: its lineage step
+  # calls the exact model counter and Karp–Luby once each, and the
+  # per-target Karp–Luby wrappers must not grow back.
+  for call in 'KarpLubyEstimate(' 'ExactDnfProbabilityDecomposed('; do
+    if [ "$(grep -cF "${call}" src/core/engine.cc)" -gt 1 ]; then
+      echo "tier-1: engine.cc must call ${call} once, in its lineage step"
+      exit 1
+    fi
+  done
+  if grep -nE 'KarpLubyPqe|KarpLubyUnionPqe' src/core/engine.cc; then
+    echo "tier-1: engine.cc must not call per-target Karp–Luby wrappers"
+    exit 1
+  fi
   # Warnings are errors here: the default build is warning-free, and this
   # keeps it so.
   run_config "tier-1" build -DPQE_WERROR=ON

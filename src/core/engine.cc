@@ -158,6 +158,14 @@ EstimatorConfig PqeEngine::MakeEstimatorConfig(const Options& options,
 
 namespace {
 
+using Target = EvalRequest::Target;
+
+// The full-size clause cap of a CQ or UCQ lineage (BuildLineage's and
+// BuildUnionLineage's default), and the size under which kAuto tries an
+// exact model count before Karp–Luby.
+constexpr size_t kLineageClauseCap = 5'000'000;
+constexpr size_t kExactClauseBudget = 20'000;
+
 // The Karp–Luby lineage estimator's config for these options.
 KarpLubyConfig MakeKarpLubyConfig(const PqeEngine::Options& options,
                                   const CancelToken* cancel) {
@@ -169,21 +177,68 @@ KarpLubyConfig MakeKarpLubyConfig(const PqeEngine::Options& options,
   return cfg;
 }
 
-// The method a kQuery or kRpq request runs. kAuto resolves to the
-// Dalvi–Suciu safe plan when the CQ is hierarchical (RPQs have no safe-plan
-// tier), then exact enumeration at or below enumeration_threshold facts,
-// then the combined FPRAS.
-PqeMethod ResolveMethod(const EvalRequest& request,
-                        const PqeEngine::Options& opts) {
+size_t NumFacts(const EvalRequest& request) {
+  return request.target == Target::kUniformReliability
+             ? request.db->NumFacts()
+             : request.pdb->NumFacts();
+}
+
+// The methods each target can run. Every target enumerates worlds; the safe
+// plan and naive Monte Carlo take a CQ; a union has no combined FPRAS (the
+// paper's scope is one self-join-free CQ) and uniform reliability, a count,
+// has no lineage route.
+bool Supports(Target target, PqeMethod method) {
+  switch (method) {
+    case PqeMethod::kAuto:
+    case PqeMethod::kEnumeration:
+      return true;
+    case PqeMethod::kSafePlan:
+    case PqeMethod::kMonteCarlo:
+      return target == Target::kQuery;
+    case PqeMethod::kFpras:
+      return target != Target::kUnion;
+    case PqeMethod::kKarpLubyLineage:
+    case PqeMethod::kExactLineage:
+      return target != Target::kUniformReliability;
+  }
+  return false;
+}
+
+const char* TargetName(Target target) {
+  switch (target) {
+    case Target::kQuery:
+      return "conjunctive queries";
+    case Target::kUnion:
+      return "unions of conjunctive queries";
+    case Target::kUniformReliability:
+      return "uniform reliability requests";
+    case Target::kRpq:
+      return "regular path queries";
+  }
+  return "unknown targets";
+}
+
+// The method a request runs; kNotSupported when it forces one its target
+// lacks. kAuto resolves to the Dalvi–Suciu safe plan for a hierarchical CQ,
+// then exact enumeration at or below enumeration_threshold facts, then the
+// combined FPRAS. A union has no FPRAS and stays kAuto, which the lineage
+// step reads as "exact first, Karp–Luby beyond".
+Result<PqeMethod> ResolveMethod(const EvalRequest& request,
+                                const PqeEngine::Options& opts) {
+  if (!Supports(request.target, opts.method)) {
+    return Status::NotSupported(StrCat(TargetName(request.target),
+                                       " do not support method '",
+                                       PqeMethodToString(opts.method), "'"));
+  }
   if (opts.method != PqeMethod::kAuto) return opts.method;
-  if (request.target == EvalRequest::Target::kQuery &&
-      IsSafeQuery(*request.query)) {
+  if (request.target == Target::kQuery && IsSafeQuery(*request.query)) {
     return PqeMethod::kSafePlan;
   }
-  if (request.pdb->NumFacts() <= opts.enumeration_threshold) {
+  if (NumFacts(request) <= opts.enumeration_threshold) {
     return PqeMethod::kEnumeration;
   }
-  return PqeMethod::kFpras;
+  return Supports(request.target, PqeMethod::kFpras) ? PqeMethod::kFpras
+                                                     : PqeMethod::kAuto;
 }
 
 // The cold kFpras step: the whole compile → bind → count chain per request.
@@ -247,7 +302,6 @@ Status CheckRequest(const EvalRequest& request) {
 // `probability` once the answer is in.
 void OpenRootSpan(const EvalRequest& request, const PqeEngine::Options& opts,
                   std::optional<obs::TraceSession>* session) {
-  using Target = EvalRequest::Target;
   session->emplace(request.target == Target::kUnion ? "engine.evaluate_union"
                    : request.target == Target::kRpq ? "engine.evaluate_rpq"
                                                     : "engine.evaluate");
@@ -258,244 +312,204 @@ void OpenRootSpan(const EvalRequest& request, const PqeEngine::Options& opts,
   if (request.target == Target::kUnion) {
     obs::SpanAttrUint("disjuncts", request.union_query->NumDisjuncts());
   }
-  obs::SpanAttrUint("facts", request.target == Target::kUniformReliability
-                                 ? request.db->NumFacts()
-                                 : request.pdb->NumFacts());
+  obs::SpanAttrUint("facts", NumFacts(request));
   obs::SpanAttrFloat("epsilon", opts.epsilon);
 }
 
-Result<PqeAnswer> EvaluateQuery(const EvalRequest& request,
-                                const PqeEngine::Options& opts,
-                                const CancelToken* cancel,
-                                const PqeEngine::FprasLeaf& fpras) {
-  const ConjunctiveQuery& query = *request.query;
-  const ProbabilisticDatabase& pdb = *request.pdb;
+template <typename Number>
+Result<double> ToDouble(const Result<Number>& exact) {
+  PQE_RETURN_IF_ERROR(exact.status());
+  return exact->ToDouble();
+}
+
+// Exact possible-world enumeration by the target's oracle, over at most
+// enumeration_threshold + 8 facts.
+Result<PqeAnswer> EnumerationStep(const EvalRequest& request,
+                                  const PqeEngine::Options& opts) {
+  PQE_TRACE_SPAN("exact.enumeration");
+  const size_t cap = opts.enumeration_threshold + 8;
+  Result<double> p = [&]() -> Result<double> {
+    switch (request.target) {
+      case Target::kQuery:
+        return ToDouble(
+            ExactProbabilityByEnumeration(*request.pdb, *request.query, cap));
+      case Target::kUnion:
+        return ToDouble(ExactUnionProbabilityByEnumeration(
+            *request.pdb, *request.union_query, cap));
+      case Target::kUniformReliability:
+        return ToDouble(
+            UniformReliabilityByEnumeration(*request.db, *request.query, cap));
+      case Target::kRpq:
+        return ToDouble(rpq::ExactRpqProbabilityByEnumeration(
+            *request.rpq, *request.pdb, cap));
+    }
+    return Status::Internal("unknown EvalRequest target");
+  }();
   PqeAnswer out;
-  out.method_used = ResolveMethod(request, opts);
-  switch (out.method_used) {
+  PQE_ASSIGN_OR_RETURN(out.probability, p);
+  out.is_exact = true;
+  out.method_used = PqeMethod::kEnumeration;
+  out.enumerated_facts = NumFacts(request);
+  return out;
+}
+
+// The combined FPRAS: the `fpras` leaf for a CQ or RPQ, the Prop. 1
+// estimator for uniform reliability.
+Result<PqeAnswer> FprasStep(const EvalRequest& request,
+                            const PqeEngine::Options& opts,
+                            const CancelToken* cancel,
+                            const PqeEngine::FprasLeaf& fpras) {
+  const EstimatorConfig config = PqeEngine::MakeEstimatorConfig(opts, cancel);
+  if (request.target != Target::kUniformReliability) {
+    return fpras(request, opts, config);
+  }
+  UrConstructionOptions ur_opts;
+  ur_opts.max_width = opts.max_width;
+  PQE_ASSIGN_OR_RETURN(UrEstimateResult r,
+                       UrEstimate(*request.query, *request.db, config, ur_opts));
+  PqeAnswer out;
+  out.probability = r.ur.ToDouble();
+  out.method_used = PqeMethod::kFpras;
+  out.count_stats = r.stats;
+  out.automaton = PqeAnswer::AutomatonStats{r.nfta_states, r.nfta_transitions,
+                                            r.tree_size, r.decomposition_width};
+  return out;
+}
+
+PqeAnswer ExactLineageAnswer(double probability,
+                             PqeAnswer::LineageStats stats) {
+  PqeAnswer out;
+  out.probability = probability;
+  out.is_exact = true;
+  out.method_used = PqeMethod::kExactLineage;
+  out.lineage = stats;
+  return out;
+}
+
+// The lineage step over the target's DNF: the CQ's or the union's lineage,
+// capped at kLineageClauseCap clauses, or an RPQ's product-path lineage,
+// capped at rpq_clause_budget. kExactLineage counts it exactly,
+// kKarpLubyLineage samples it, and kAuto counts it exactly when it has at
+// most kExactClauseBudget clauses and the count succeeds, else samples it.
+Result<PqeAnswer> LineageStep(const EvalRequest& request, PqeMethod method,
+                              const PqeEngine::Options& opts,
+                              const CancelToken* cancel) {
+  const ProbabilisticDatabase& pdb = *request.pdb;
+  std::function<Result<DnfLineage>(size_t max_clauses)> build;
+  size_t max_clauses = kLineageClauseCap;
+  std::optional<rpq::RpqProduct> product;
+  switch (request.target) {
+    case Target::kQuery:
+      build = [&](size_t cap) {
+        return BuildLineage(*request.query, pdb.database(), cap);
+      };
+      break;
+    case Target::kUnion:
+      build = [&](size_t cap) {
+        return BuildUnionLineage(*request.union_query, pdb.database(), cap);
+      };
+      break;
+    case Target::kRpq: {
+      PQE_ASSIGN_OR_RETURN(product,
+                           rpq::BuildRpqProduct(*request.rpq, pdb.database()));
+      if (product->trivially_true) {
+        // ε ∈ L(regex) over a non-empty domain: the lineage is the
+        // constant-true DNF (one empty clause), exactly probability 1.
+        return ExactLineageAnswer(1.0, {1, 0, 0});
+      }
+      build = [&](size_t cap) { return rpq::BuildRpqLineage(*product, cap); };
+      max_clauses = opts.rpq_clause_budget;
+      break;
+    }
+    case Target::kUniformReliability:
+      return Status::Internal("uniform reliability has no lineage");
+  }
+
+  const size_t first_cap = method == PqeMethod::kAuto
+                               ? std::min(max_clauses, kExactClauseBudget)
+                               : max_clauses;
+  Result<DnfLineage> lineage = build(first_cap);
+  if (method != PqeMethod::kKarpLubyLineage && lineage.ok()) {
+    Result<CompiledWmcResult> exact =
+        ExactDnfProbabilityDecomposed(*lineage, pdb);
+    if (exact.ok()) {
+      return ExactLineageAnswer(
+          exact->probability.ToDouble(),
+          {lineage->NumClauses(), exact->stats.shannon_splits,
+           exact->stats.component_splits});
+    }
+    if (method == PqeMethod::kExactLineage) return exact.status();
+  } else if (method == PqeMethod::kExactLineage) {
+    return lineage.status();
+  }
+  if (!lineage.ok() && first_cap < max_clauses) lineage = build(max_clauses);
+  PQE_RETURN_IF_ERROR(lineage.status());
+  if (product.has_value() && lineage->NumClauses() == 0) {
+    // An RPQ unsatisfiable on every subinstance: exactly probability 0.
+    return ExactLineageAnswer(0.0, {0, 0, 0});
+  }
+  PQE_ASSIGN_OR_RETURN(
+      KarpLubyResult r,
+      KarpLubyEstimate(*lineage, pdb, MakeKarpLubyConfig(opts, cancel)));
+  PqeAnswer out;
+  out.probability = r.probability;
+  out.karp_luby = r;
+  out.method_used = PqeMethod::kKarpLubyLineage;
+  return out;
+}
+
+// The one method cascade of every target: resolve the method, then run its
+// step. A kAuto RPQ whose FPRAS finds no scan order falls back to the
+// lineage step.
+Result<PqeAnswer> RunMethod(const EvalRequest& request,
+                            const PqeEngine::Options& opts,
+                            const CancelToken* cancel,
+                            const PqeEngine::FprasLeaf& fpras) {
+  PQE_ASSIGN_OR_RETURN(const PqeMethod method, ResolveMethod(request, opts));
+  switch (method) {
     case PqeMethod::kSafePlan: {
-      PQE_ASSIGN_OR_RETURN(out.probability, SafePlanProbability(query, pdb));
+      PqeAnswer out;
+      PQE_ASSIGN_OR_RETURN(out.probability,
+                           SafePlanProbability(*request.query, *request.pdb));
       out.is_exact = true;
-      break;
+      out.method_used = PqeMethod::kSafePlan;
+      return out;
     }
-    case PqeMethod::kEnumeration: {
-      PQE_TRACE_SPAN("exact.enumeration");
-      PQE_ASSIGN_OR_RETURN(
-          BigRational p,
-          ExactProbabilityByEnumeration(pdb, query,
-                                        opts.enumeration_threshold + 8));
-      out.probability = p.ToDouble();
-      out.is_exact = true;
-      out.enumerated_facts = pdb.NumFacts();
-      break;
+    case PqeMethod::kEnumeration:
+      return EnumerationStep(request, opts);
+    case PqeMethod::kFpras: {
+      Result<PqeAnswer> r = FprasStep(request, opts, cancel, fpras);
+      if (r.ok() || request.target != Target::kRpq ||
+          opts.method != PqeMethod::kAuto ||
+          r.status().code() != StatusCode::kNotSupported) {
+        return r;
+      }
+      // Not scan-orderable (cyclic data under the regex).
+      return LineageStep(request, PqeMethod::kAuto, opts, cancel);
     }
-    case PqeMethod::kFpras:
-      return fpras(request, opts,
-                   PqeEngine::MakeEstimatorConfig(opts, cancel));
-    case PqeMethod::kKarpLubyLineage: {
-      PQE_ASSIGN_OR_RETURN(
-          KarpLubyResult r,
-          KarpLubyPqe(query, pdb, MakeKarpLubyConfig(opts, cancel)));
-      out.probability = r.probability;
-      out.karp_luby = r;
-      break;
-    }
-    case PqeMethod::kExactLineage: {
-      PQE_ASSIGN_OR_RETURN(DnfLineage lineage,
-                           BuildLineage(query, pdb.database()));
-      PQE_ASSIGN_OR_RETURN(CompiledWmcResult r,
-                           ExactDnfProbabilityDecomposed(lineage, pdb));
-      out.probability = r.probability.ToDouble();
-      out.is_exact = true;
-      out.lineage = PqeAnswer::LineageStats{lineage.NumClauses(),
-                                            r.stats.shannon_splits,
-                                            r.stats.component_splits};
-      break;
-    }
+    case PqeMethod::kAuto:
+    case PqeMethod::kExactLineage:
+    case PqeMethod::kKarpLubyLineage:
+      return LineageStep(request, method, opts, cancel);
     case PqeMethod::kMonteCarlo: {
       MonteCarloConfig cfg;
       cfg.seed = opts.seed;
       cfg.num_samples = 20'000;
       cfg.num_threads = opts.num_threads;
       PQE_ASSIGN_OR_RETURN(MonteCarloResult r,
-                           MonteCarloPqe(query, pdb, cfg));
+                           MonteCarloPqe(*request.query, *request.pdb, cfg));
+      PqeAnswer out;
       out.probability = r.probability;
+      out.method_used = PqeMethod::kMonteCarlo;
       out.monte_carlo = PqeAnswer::SampleCounts{r.samples, r.hits};
-      break;
-    }
-    case PqeMethod::kAuto:
-      return Status::Internal("auto method not resolved");
-  }
-  return out;
-}
-
-Result<PqeAnswer> EvaluateUnion(const UnionQuery& query,
-                                const ProbabilisticDatabase& pdb,
-                                const PqeEngine::Options& opts,
-                                const CancelToken* cancel) {
-  PqeAnswer out;
-  if (pdb.NumFacts() <= opts.enumeration_threshold) {
-    PQE_TRACE_SPAN("exact.enumeration");
-    PQE_ASSIGN_OR_RETURN(
-        BigRational p,
-        ExactUnionProbabilityByEnumeration(pdb, query,
-                                           opts.enumeration_threshold + 8));
-    out.probability = p.ToDouble();
-    out.is_exact = true;
-    out.method_used = PqeMethod::kEnumeration;
-    out.enumerated_facts = pdb.NumFacts();
-    return out;
-  }
-  // Union lineage: exact where tractable, Karp–Luby beyond.
-  constexpr size_t kExactClauseBudget = 20'000;
-  auto lineage = BuildUnionLineage(query, pdb.database(),
-                                   kExactClauseBudget);
-  if (lineage.ok()) {
-    auto exact = ExactDnfProbabilityDecomposed(*lineage, pdb);
-    if (exact.ok()) {
-      out.probability = exact->probability.ToDouble();
-      out.is_exact = true;
-      out.method_used = PqeMethod::kExactLineage;
-      out.lineage = PqeAnswer::LineageStats{lineage->NumClauses(),
-                                            exact->stats.shannon_splits,
-                                            exact->stats.component_splits};
       return out;
     }
   }
-  PQE_ASSIGN_OR_RETURN(
-      KarpLubyResult r,
-      KarpLubyUnionPqe(query, pdb, MakeKarpLubyConfig(opts, cancel)));
-  out.probability = r.probability;
-  out.karp_luby = r;
-  out.method_used = PqeMethod::kKarpLubyLineage;
-  return out;
-}
-
-Result<PqeAnswer> EvaluateRpq(const EvalRequest& request,
-                              const PqeEngine::Options& opts,
-                              const CancelToken* cancel,
-                              const PqeEngine::FprasLeaf& fpras) {
-  const rpq::RpqQuery& query = *request.rpq;
-  const ProbabilisticDatabase& pdb = *request.pdb;
-  const PqeMethod method = ResolveMethod(request, opts);
-  if (method == PqeMethod::kSafePlan || method == PqeMethod::kMonteCarlo) {
-    return Status::NotSupported(
-        std::string("regular path queries do not support method '") +
-        PqeMethodToString(method) + "'");
-  }
-
-  PqeAnswer out;
-  if (method == PqeMethod::kEnumeration) {
-    PQE_TRACE_SPAN("exact.enumeration");
-    PQE_ASSIGN_OR_RETURN(
-        BigRational p,
-        rpq::ExactRpqProbabilityByEnumeration(query, pdb,
-                                              opts.enumeration_threshold + 8));
-    out.probability = p.ToDouble();
-    out.is_exact = true;
-    out.method_used = PqeMethod::kEnumeration;
-    out.enumerated_facts = pdb.NumFacts();
-    return out;
-  }
-
-  if (method == PqeMethod::kFpras) {
-    Result<PqeAnswer> r =
-        fpras(request, opts, PqeEngine::MakeEstimatorConfig(opts, cancel));
-    if (r.ok() || opts.method != PqeMethod::kAuto ||
-        r.status().code() != StatusCode::kNotSupported) {
-      return r;
-    }
-    // Not scan-orderable (cyclic data under the regex): fall through to the
-    // exact product-path lineage, mirroring the union cascade.
-  }
-
-  PQE_ASSIGN_OR_RETURN(rpq::RpqProduct product,
-                       rpq::BuildRpqProduct(query, pdb.database()));
-  if (product.trivially_true) {
-    // ε ∈ L(regex) over a non-empty domain: the lineage is the constant-true
-    // DNF (one empty clause) — exactly probability 1, no sampling needed.
-    out.probability = 1.0;
-    out.is_exact = true;
-    out.method_used = PqeMethod::kExactLineage;
-    out.lineage = PqeAnswer::LineageStats{1, 0, 0};
-    return out;
-  }
-  if (method == PqeMethod::kExactLineage || method == PqeMethod::kFpras) {
-    // Forced exact route, or the auto cascade's exact-first attempt.
-    const size_t budget = method == PqeMethod::kExactLineage
-                              ? opts.rpq_clause_budget
-                              : std::min<size_t>(opts.rpq_clause_budget,
-                                                 20'000);
-    auto lineage = rpq::BuildRpqLineage(product, budget);
-    if (lineage.ok()) {
-      auto exact = ExactDnfProbabilityDecomposed(*lineage, pdb);
-      if (exact.ok()) {
-        out.probability = exact->probability.ToDouble();
-        out.is_exact = true;
-        out.method_used = PqeMethod::kExactLineage;
-        out.lineage = PqeAnswer::LineageStats{lineage->NumClauses(),
-                                              exact->stats.shannon_splits,
-                                              exact->stats.component_splits};
-        return out;
-      }
-      if (method == PqeMethod::kExactLineage) return exact.status();
-    } else if (method == PqeMethod::kExactLineage) {
-      return lineage.status();
-    }
-  }
-
-  PQE_ASSIGN_OR_RETURN(DnfLineage lineage,
-                       rpq::BuildRpqLineage(product, opts.rpq_clause_budget));
-  if (lineage.NumClauses() == 0) {
-    // Unsatisfiable on every subinstance: exactly probability 0.
-    out.probability = 0.0;
-    out.is_exact = true;
-    out.method_used = PqeMethod::kExactLineage;
-    out.lineage = PqeAnswer::LineageStats{0, 0, 0};
-    return out;
-  }
-  PQE_ASSIGN_OR_RETURN(
-      KarpLubyResult r,
-      KarpLubyEstimate(lineage, pdb, MakeKarpLubyConfig(opts, cancel)));
-  out.probability = r.probability;
-  out.karp_luby = r;
-  out.method_used = PqeMethod::kKarpLubyLineage;
-  return out;
-}
-
-Result<PqeAnswer> EvaluateUr(const ConjunctiveQuery& query,
-                             const Database& db,
-                             const PqeEngine::Options& opts,
-                             const CancelToken* cancel) {
-  PqeAnswer out;
-  if (db.NumFacts() <= opts.enumeration_threshold) {
-    PQE_ASSIGN_OR_RETURN(
-        BigUint ur,
-        UniformReliabilityByEnumeration(db, query,
-                                        opts.enumeration_threshold + 8));
-    out.probability = ur.ToDouble();
-    out.is_exact = true;
-    out.method_used = PqeMethod::kEnumeration;
-    out.enumerated_facts = db.NumFacts();
-    return out;
-  }
-  UrConstructionOptions ur_opts;
-  ur_opts.max_width = opts.max_width;
-  PQE_ASSIGN_OR_RETURN(
-      UrEstimateResult r,
-      UrEstimate(query, db, PqeEngine::MakeEstimatorConfig(opts, cancel),
-                 ur_opts));
-  out.probability = r.ur.ToDouble();
-  out.method_used = PqeMethod::kFpras;
-  out.count_stats = r.stats;
-  out.automaton = PqeAnswer::AutomatonStats{r.nfta_states,
-                                            r.nfta_transitions, r.tree_size,
-                                            r.decomposition_width};
-  return out;
+  return Status::Internal("unknown method");
 }
 
 // Everything between the deadline token and the response: pre-expiry,
-// request validation, the trace root, the target's evaluation and the
+// request validation, the trace root, the method cascade and the
 // per-method counter.
 Result<PqeAnswer> Evaluate(const EvalRequest& request,
                            const PqeEngine::Options& opts,
@@ -508,20 +522,7 @@ Result<PqeAnswer> Evaluate(const EvalRequest& request,
   PQE_RETURN_IF_ERROR(CheckRequest(request));
   std::optional<obs::TraceSession> session;
   if (opts.collect_trace) OpenRootSpan(request, opts, &session);
-  Result<PqeAnswer> result = [&]() -> Result<PqeAnswer> {
-    switch (request.target) {
-      case EvalRequest::Target::kQuery:
-        return EvaluateQuery(request, opts, cancel, fpras);
-      case EvalRequest::Target::kUnion:
-        return EvaluateUnion(*request.union_query, *request.pdb, opts,
-                             cancel);
-      case EvalRequest::Target::kUniformReliability:
-        return EvaluateUr(*request.query, *request.db, opts, cancel);
-      case EvalRequest::Target::kRpq:
-        return EvaluateRpq(request, opts, cancel, fpras);
-    }
-    return Status::Internal("unknown EvalRequest target");
-  }();
+  Result<PqeAnswer> result = RunMethod(request, opts, cancel, fpras);
   if (!result.ok()) return result;
   CountMethodEvaluation(result->method_used);
   if (session.has_value()) {

@@ -26,7 +26,7 @@ class RpqQuery;
 enum class PqeMethod {
   /// Pick automatically: safe queries run the exact extensional plan; small
   /// instances run exact enumeration; everything else runs the paper's
-  /// combined FPRAS.
+  /// combined FPRAS, or lineage for a union, which has none.
   kAuto,
   /// Theorem 1: hypertree decomposition → NFTA → CountNFTA (FPRAS).
   kFpras,
@@ -249,7 +249,8 @@ class PqeEngine {
   /// per-request overrides, resolves kAuto, enforces deadline_ms/cancel
   /// cooperatively, opens the request's trace, counts the evaluation, and
   /// never throws or hangs — errors (including kDeadlineExceeded) come back
-  /// in EvalResponse::status. The kFpras step runs the cold chain
+  /// in EvalResponse::status. A forced method the request's target cannot
+  /// run (the table in docs/architecture.md) returns kNotSupported. The kFpras step runs the cold chain
   /// (PathPqeEstimate / PqeEstimate / rpq::RpqEstimate).
   EvalResponse EvaluateRequest(const EvalRequest& request) const;
 

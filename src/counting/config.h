@@ -23,9 +23,6 @@ namespace pqe {
 struct EstimatorConfig {
   /// Target relative error ε ∈ (0, 1).
   double epsilon = 0.2;
-  /// Informational confidence level (1 − δ). No estimator reads it: the
-  /// coverage test takes δ from it, and the answer memo hashes it.
-  double confidence = 0.9;
   /// RNG seed; all randomness derives from it (runs are reproducible).
   uint64_t seed = 0x5eed;
   /// Per-stratum sample pool size. 0 = auto: ~8·n/ε², at least 48 and at

@@ -76,13 +76,4 @@ Result<BigRational> ExactUnionProbability(const UnionQuery& query,
   return result.probability;
 }
 
-Result<KarpLubyResult> KarpLubyUnionPqe(const UnionQuery& query,
-                                        const ProbabilisticDatabase& pdb,
-                                        const KarpLubyConfig& config,
-                                        size_t max_clauses) {
-  PQE_ASSIGN_OR_RETURN(DnfLineage lineage,
-                       BuildUnionLineage(query, pdb.database(), max_clauses));
-  return KarpLubyEstimate(lineage, pdb, config);
-}
-
 }  // namespace pqe

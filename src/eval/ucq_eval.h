@@ -2,7 +2,6 @@
 #define PQE_EVAL_UCQ_EVAL_H_
 
 #include "cq/ucq.h"
-#include "lineage/karp_luby.h"
 #include "lineage/lineage.h"
 #include "pdb/probabilistic_database.h"
 #include "util/bigint.h"
@@ -28,15 +27,6 @@ Result<DnfLineage> BuildUnionLineage(const UnionQuery& query,
 /// Exact Pr_H(∨ᵢ Qᵢ) via the union lineage + decomposed model counting.
 Result<BigRational> ExactUnionProbability(const UnionQuery& query,
                                           const ProbabilisticDatabase& pdb);
-
-/// (1±ε)-approximation of Pr_H(∨ᵢ Qᵢ) via Karp–Luby on the union lineage.
-/// Inherits the lineage's exponential dependence on disjunct length — the
-/// paper's combined-complexity FPRAS does not extend to UCQs (its self-join-
-/// free single-CQ scope is exactly Table 1's boundary).
-Result<KarpLubyResult> KarpLubyUnionPqe(const UnionQuery& query,
-                                        const ProbabilisticDatabase& pdb,
-                                        const KarpLubyConfig& config,
-                                        size_t max_clauses = 5'000'000);
 
 }  // namespace pqe
 

@@ -195,15 +195,6 @@ Result<KarpLubyResult> KarpLubyEstimate(const DnfLineage& lineage,
   return out;
 }
 
-Result<KarpLubyResult> KarpLubyPqe(const ConjunctiveQuery& query,
-                                   const ProbabilisticDatabase& pdb,
-                                   const KarpLubyConfig& config,
-                                   size_t max_clauses) {
-  PQE_ASSIGN_OR_RETURN(DnfLineage lineage,
-                       BuildLineage(query, pdb.database(), max_clauses));
-  return KarpLubyEstimate(lineage, pdb, config);
-}
-
 Result<BigRational> ExactDnfProbability(const DnfLineage& lineage,
                                         const ProbabilisticDatabase& pdb,
                                         size_t max_memo_entries) {

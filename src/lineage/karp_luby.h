@@ -57,12 +57,6 @@ Result<KarpLubyResult> KarpLubyEstimate(const DnfLineage& lineage,
                                         const ProbabilisticDatabase& pdb,
                                         const KarpLubyConfig& config);
 
-/// Convenience: builds the lineage and runs Karp–Luby.
-Result<KarpLubyResult> KarpLubyPqe(const ConjunctiveQuery& query,
-                                   const ProbabilisticDatabase& pdb,
-                                   const KarpLubyConfig& config,
-                                   size_t max_clauses = 5'000'000);
-
 /// Exact weighted model count of the DNF by Shannon expansion with
 /// memoization on the residual clause set. Exponential worst case; exact
 /// oracle for mid-sized instances where 2^|D| enumeration is hopeless.

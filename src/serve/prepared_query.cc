@@ -49,7 +49,6 @@ uint64_t HashEstimatorConfig(const EstimatorConfig& config) {
     mix(bits);
   };
   mix_double(config.epsilon);
-  mix_double(config.confidence);
   mix(config.seed);
   mix(config.pool_size);
   mix(config.max_pool_size);

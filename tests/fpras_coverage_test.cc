@@ -9,7 +9,7 @@
 // enumeration). A single estimate may legitimately miss the band, so no
 // run is asserted alone; instead the number of misses over all runs must be
 // consistent, by a one-sided binomial test, with a miss probability of at
-// most δ = 1 − confidence.
+// most δ (kDelta).
 
 #include <algorithm>
 #include <cmath>
@@ -32,6 +32,8 @@ namespace {
 
 constexpr size_t kSeedsPerInstance = 4;
 constexpr double kEpsilon = 0.1;
+// The miss probability the guarantee allows.
+constexpr double kDelta = 0.1;
 // Fuzz seeds scanned for CQ instances; enumeration keeps the oracle exact.
 constexpr uint64_t kFuzzSeeds = 40;
 constexpr size_t kMaxEnumeratedFacts = 14;
@@ -160,7 +162,6 @@ void AddRpqInstances(CoverageHarness* harness) {
 }
 
 TEST(FprasCoverageTest, BandMissesConsistentWithDelta) {
-  const double delta = 1.0 - EstimatorConfig{}.confidence;
   CoverageHarness harness;
   AddCqInstances(&harness);
   AddRpqInstances(&harness);
@@ -172,10 +173,10 @@ TEST(FprasCoverageTest, BandMissesConsistentWithDelta) {
                 harness.ByRoute(r).runs, kEpsilon);
   }
   const Tally all = harness.Total();
-  const double tail = BinomialUpperTail(all.runs, all.misses, delta);
+  const double tail = BinomialUpperTail(all.runs, all.misses, kDelta);
   std::printf("[coverage] total: %zu/%zu misses, P[X >= %zu] = %.3g under "
               "delta = %.2f\n",
-              all.misses, all.runs, all.misses, tail, delta);
+              all.misses, all.runs, all.misses, tail, kDelta);
   EXPECT_GE(tail, kAlpha) << all.misses << " of " << all.runs
                           << " estimates missed the band: more than delta "
                              "allows";

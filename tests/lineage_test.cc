@@ -153,7 +153,8 @@ TEST(KarpLubyTest, EndToEndConvenienceWrapper) {
   KarpLubyConfig cfg;
   cfg.epsilon = 0.05;
   cfg.seed = 8;
-  auto kl = KarpLubyPqe(qi.query, pdb, cfg).MoveValue();
+  auto lineage = BuildLineage(qi.query, pdb.database()).MoveValue();
+  auto kl = KarpLubyEstimate(lineage, pdb, cfg).MoveValue();
   EXPECT_NEAR(kl.probability, 0.25, 0.05);
   EXPECT_EQ(kl.clauses, 1u);
 }

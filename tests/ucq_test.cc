@@ -6,6 +6,7 @@
 #include "cq/parser.h"
 #include "cq/ucq.h"
 #include "eval/ucq_eval.h"
+#include "lineage/karp_luby.h"
 #include "util/rng.h"
 #include "workload/generators.h"
 
@@ -82,7 +83,8 @@ TEST_P(UnionAgreement, ExactMethodsAgreeAndKarpLubyTracks) {
     KarpLubyConfig cfg;
     cfg.epsilon = 0.05;
     cfg.seed = seed * 11 + 3;
-    auto kl = KarpLubyUnionPqe(u, pdb, cfg).MoveValue();
+    auto lineage = BuildUnionLineage(u, pdb.database()).MoveValue();
+    auto kl = KarpLubyEstimate(lineage, pdb, cfg).MoveValue();
     EXPECT_NEAR(kl.probability / t, 1.0, 0.2) << "seed=" << seed;
   }
 }
